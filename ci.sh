@@ -97,6 +97,38 @@ test -n "$ADDR" || { echo "viva-server never announced its address" >&2; kill "$
 target/release/viva-server-client --tcp "$ADDR" tests/data/server_session.script \
   > /tmp/viva_server_smoke_tcp.ndjson
 diff -u tests/data/server_session.golden /tmp/viva_server_smoke_tcp.ndjson
+
+echo "==> server-smoke: multi-MB inline upload over stdio and TCP"
+# The request codec is linear in the line length, so a trace uploaded
+# inline as one ~3.5 MB `load_trace` line loads in well under a second.
+# The timeout is generous on purpose: it only catches a codec that has
+# gone superlinear again (such a line would then take minutes).
+UPLOAD_SCRIPT=/tmp/viva_upload_smoke.script
+awk 'BEGIN {
+  hosts = 200; steps = 800
+  printf "{\"cmd\":\"load_trace\",\"session\":\"up\",\"mode\":\"strict\",\"text\":\"span,0.0,%d.0", steps
+  for (h = 1; h <= hosts; h++) printf "\\ncontainer,%d,0,host,h%d", h, h
+  printf "\\nmetric,0,MFlop/s,power"
+  for (t = 0; t < steps; t++)
+    for (h = 1; h <= hosts; h++) printf "\\nvar,%d.0,%d,0,%d.5", t, h, (h * 7 + t * 13) % 1000
+  printf "\"}\n"
+  printf "{\"cmd\":\"render\",\"session\":\"up\",\"width\":800,\"height\":600,\"theme\":\"light\",\"labels\":false}\n"
+}' > "$UPLOAD_SCRIPT"
+test "$(head -n 1 "$UPLOAD_SCRIPT" | wc -c)" -gt 3000000
+# Exactly two answers: the upload's `loaded`, then the session's frame.
+check_upload() {
+  awk 'NR == 1 && /^\{"ok":"loaded","session":"up",/ { loaded = 1 }
+       NR == 2 && /^\{"ok":"frame",/ { frame = 1 }
+       END { exit !(NR == 2 && loaded && frame) }' "$1" \
+    || { echo "upload smoke: expected a loaded answer and a frame in $1" >&2; return 1; }
+}
+timeout 60 target/release/viva-server --stdio < "$UPLOAD_SCRIPT" > /tmp/viva_upload_smoke_stdio.ndjson
+check_upload /tmp/viva_upload_smoke_stdio.ndjson
+timeout 60 target/release/viva-server-client --tcp "$ADDR" "$UPLOAD_SCRIPT" \
+  > /tmp/viva_upload_smoke_tcp.ndjson
+check_upload /tmp/viva_upload_smoke_tcp.ndjson
+cmp /tmp/viva_upload_smoke_stdio.ndjson /tmp/viva_upload_smoke_tcp.ndjson
+
 echo '{"cmd":"shutdown"}' | target/release/viva-server-client --tcp "$ADDR" > /dev/null
 wait "$SRV_PID"
 cargo run --quiet --release -p viva-bench --bin fig_server -- --small > /dev/null

@@ -147,6 +147,10 @@ pub struct AnalysisSession {
     /// Cached session-level metric handles, `None` when the recorder is
     /// disabled.
     obs: Option<Box<SessionObs>>,
+    /// Test builds only: regroup with the original pairwise scan (see
+    /// the tests), the oracle the linear regroup must match bit for bit.
+    #[cfg(test)]
+    pairwise_regroup: bool,
 }
 
 /// Pre-resolved handles for the session's own metrics (`session.*`).
@@ -346,6 +350,8 @@ impl SessionBuilder {
             recorder,
             obs,
             trace,
+            #[cfg(test)]
+            pairwise_regroup: false,
         };
         session.frontier = session.state.visible(session.trace.containers());
         for &c in &session.frontier.clone() {
@@ -792,50 +798,8 @@ impl AnalysisSession {
     /// expanded groups spawn members around the old aggregate, and the
     /// edge set is re-lifted.
     fn apply_state(&mut self) {
-        let tree = self.trace.containers();
-        let new_frontier = self.state.visible(tree);
-        let old_set: HashSet<ContainerId> = self.frontier.iter().copied().collect();
-        let new_set: HashSet<ContainerId> = new_frontier.iter().copied().collect();
-
-        let is_ancestor_of = |anc: ContainerId, node: ContainerId| {
-            tree.node(node).depth() > tree.node(anc).depth()
-                && tree.ancestor_at_depth(node, tree.node(anc).depth()) == Some(anc)
-        };
-
-        // 1. Additions that aggregate existing nodes: merge.
-        for &a in &new_frontier {
-            if old_set.contains(&a) {
-                continue;
-            }
-            let members: Vec<ContainerId> = self
-                .frontier
-                .iter()
-                .copied()
-                .filter(|&o| !new_set.contains(&o) && is_ancestor_of(a, o))
-                .collect();
-            if !members.is_empty() {
-                let member_keys: Vec<NodeKey> = members.iter().map(|&m| key(m)).collect();
-                self.layout.merge_nodes(key(a), &member_keys);
-                self.layout.set_charge(key(a), self.charge_of(a));
-            }
-        }
-        // 2. Removals that disaggregate into new nodes: split.
-        for &r in &self.frontier.clone() {
-            if new_set.contains(&r) || self.layout.position(key(r)).is_none() {
-                continue;
-            }
-            let children: Vec<(NodeKey, f64)> = new_frontier
-                .iter()
-                .copied()
-                .filter(|&n| !old_set.contains(&n) && is_ancestor_of(r, n))
-                .map(|n| (key(n), self.charge_of(n)))
-                .collect();
-            if !children.is_empty() {
-                self.layout.split_node(key(r), &children);
-            } else {
-                self.layout.remove_node(key(r));
-            }
-        }
+        let new_frontier = self.state.visible(self.trace.containers());
+        self.regroup(&new_frontier);
         // 3. Anything still missing (e.g. a node that is both new and
         // unrelated to the old frontier) gets a fresh spot.
         for &a in &new_frontier {
@@ -845,6 +809,61 @@ impl AnalysisSession {
         }
         self.frontier = new_frontier;
         self.sync_edges();
+    }
+
+    /// Steps 1 and 2 of [`apply_state`](Self::apply_state): merges the
+    /// old nodes a new aggregate swallows and splits the old aggregates
+    /// that expanded. Linear in the two frontiers times the tree depth:
+    /// each departing node is handed to its newly visible ancestors (and
+    /// each arriving node to its departed ancestors) in one pass, in
+    /// frontier order, so member lists and the order of layout calls
+    /// are exactly those of a pairwise scan.
+    fn regroup(&mut self, new_frontier: &[ContainerId]) {
+        #[cfg(test)]
+        if self.pairwise_regroup {
+            return self.regroup_pairwise(new_frontier);
+        }
+        let tree = self.trace.containers();
+        let old_set: HashSet<ContainerId> = self.frontier.iter().copied().collect();
+        let new_set: HashSet<ContainerId> = new_frontier.iter().copied().collect();
+        let ancestors =
+            |c: ContainerId| std::iter::successors(tree.node(c).parent(), |&p| tree.node(p).parent());
+
+        // 1. Additions that aggregate existing nodes: merge.
+        let mut members: HashMap<ContainerId, Vec<NodeKey>> = HashMap::new();
+        for &o in self.frontier.iter().filter(|o| !new_set.contains(o)) {
+            for a in ancestors(o).filter(|a| new_set.contains(a) && !old_set.contains(a)) {
+                members.entry(a).or_default().push(key(o));
+            }
+        }
+        for &a in new_frontier {
+            if let Some(member_keys) = members.get(&a) {
+                self.layout.merge_nodes(key(a), member_keys);
+                self.layout.set_charge(key(a), self.charge_of(a));
+            }
+        }
+        // 2. Removals that disaggregate into new nodes: split.
+        let mut children: HashMap<ContainerId, Vec<ContainerId>> = HashMap::new();
+        for &n in new_frontier.iter().filter(|n| !old_set.contains(n)) {
+            for r in ancestors(n).filter(|r| old_set.contains(r) && !new_set.contains(r)) {
+                children.entry(r).or_default().push(n);
+            }
+        }
+        for &r in &self.frontier {
+            if new_set.contains(&r) || self.layout.position(key(r)).is_none() {
+                continue;
+            }
+            match children.get(&r) {
+                Some(kids) => {
+                    let kids: Vec<(NodeKey, f64)> =
+                        kids.iter().map(|&n| (key(n), self.charge_of(n))).collect();
+                    self.layout.split_node(key(r), &kids);
+                }
+                None => {
+                    self.layout.remove_node(key(r));
+                }
+            }
+        }
     }
 
     /// Rebuilds the layout's edge set from the leaf relationships
@@ -1128,7 +1147,58 @@ impl AnalysisSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use viva_trace::{ContainerKind, TraceBuilder};
+
+    // The original pairwise regroup (steps 1 and 2 of `apply_state`),
+    // kept as the oracle for the one-pass version.
+    impl AnalysisSession {
+        pub(super) fn regroup_pairwise(&mut self, new_frontier: &[ContainerId]) {
+            let tree = self.trace.containers();
+            let old_set: HashSet<ContainerId> = self.frontier.iter().copied().collect();
+            let new_set: HashSet<ContainerId> = new_frontier.iter().copied().collect();
+
+            let is_ancestor_of = |anc: ContainerId, node: ContainerId| {
+                tree.node(node).depth() > tree.node(anc).depth()
+                    && tree.ancestor_at_depth(node, tree.node(anc).depth()) == Some(anc)
+            };
+
+            // 1. Additions that aggregate existing nodes: merge.
+            for &a in new_frontier {
+                if old_set.contains(&a) {
+                    continue;
+                }
+                let members: Vec<ContainerId> = self
+                    .frontier
+                    .iter()
+                    .copied()
+                    .filter(|&o| !new_set.contains(&o) && is_ancestor_of(a, o))
+                    .collect();
+                if !members.is_empty() {
+                    let member_keys: Vec<NodeKey> = members.iter().map(|&m| key(m)).collect();
+                    self.layout.merge_nodes(key(a), &member_keys);
+                    self.layout.set_charge(key(a), self.charge_of(a));
+                }
+            }
+            // 2. Removals that disaggregate into new nodes: split.
+            for &r in &self.frontier.clone() {
+                if new_set.contains(&r) || self.layout.position(key(r)).is_none() {
+                    continue;
+                }
+                let children: Vec<(NodeKey, f64)> = new_frontier
+                    .iter()
+                    .copied()
+                    .filter(|&n| !old_set.contains(&n) && is_ancestor_of(r, n))
+                    .map(|n| (key(n), self.charge_of(n)))
+                    .collect();
+                if !children.is_empty() {
+                    self.layout.split_node(key(r), &children);
+                } else {
+                    self.layout.remove_node(key(r));
+                }
+            }
+        }
+    }
 
     /// Two clusters of two hosts; one link per cluster; one backbone
     /// link under the root; edges host—link—host chains.
@@ -1800,6 +1870,95 @@ mod tests {
         for n in &view.nodes {
             let fn_ = fv.nodes.iter().find(|m| m.label == n.label).unwrap();
             assert_eq!((n.fill_value, n.size_value, n.members), (fn_.fill_value, fn_.size_value, fn_.members));
+        }
+    }
+
+    /// A random container tree: entry `i` hangs a cluster or a host
+    /// under one of the clusters made so far (or the root).
+    fn random_tree_session(shape: &[(usize, bool)], pairs: &[(usize, usize)]) -> AnalysisSession {
+        let mut b = TraceBuilder::new();
+        let power = b.metric("power", "MFlop/s");
+        let mut groups = vec![b.root()];
+        let mut hosts = Vec::new();
+        for (i, &(pick, is_group)) in shape.iter().enumerate() {
+            let parent = groups[pick % groups.len()];
+            if is_group {
+                groups.push(b.new_container(parent, format!("g{i}"), ContainerKind::Cluster).unwrap());
+            } else {
+                let h = b.new_container(parent, format!("h{i}"), ContainerKind::Host).unwrap();
+                b.set_variable(0.0, h, power, 1.0 + i as f64).unwrap();
+                hosts.push(h);
+            }
+        }
+        let edges = if hosts.is_empty() {
+            Vec::new()
+        } else {
+            pairs.iter().map(|&(a, c)| (hosts[a % hosts.len()], hosts[c % hosts.len()])).collect()
+        };
+        AnalysisSession::builder(b.finish(10.0)).edges(edges).build()
+    }
+
+    #[derive(Debug, Clone)]
+    enum RegroupOp {
+        Collapse(usize),
+        Expand(usize),
+        Level(u32),
+        ExpandAll,
+        Relax(usize),
+    }
+
+    fn regroup_op() -> impl Strategy<Value = RegroupOp> {
+        prop_oneof![
+            (0usize..64).prop_map(RegroupOp::Collapse),
+            (0usize..64).prop_map(RegroupOp::Expand),
+            (0u32..5).prop_map(RegroupOp::Level),
+            Just(RegroupOp::ExpandAll),
+            (1usize..4).prop_map(RegroupOp::Relax),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        #[test]
+        fn linear_regroup_matches_pairwise_oracle_bit_for_bit(
+            // About a third of the entries are clusters.
+            shape in proptest::collection::vec(
+                (0usize..64, 0usize..3).prop_map(|(pick, g)| (pick, g == 0)),
+                1..40,
+            ),
+            pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..20),
+            ops in proptest::collection::vec(regroup_op(), 1..16),
+        ) {
+            let mut fast = random_tree_session(&shape, &pairs);
+            let mut oracle = random_tree_session(&shape, &pairs);
+            oracle.pairwise_regroup = true;
+            let n = fast.trace().containers().len();
+            for op in ops {
+                for s in [&mut fast, &mut oracle] {
+                    match op {
+                        RegroupOp::Collapse(i) => {
+                            let _ = s.collapse(ContainerId::from_index(i % n));
+                        }
+                        RegroupOp::Expand(i) => {
+                            let _ = s.expand(ContainerId::from_index(i % n));
+                        }
+                        RegroupOp::Level(d) => s.collapse_at_depth(d),
+                        RegroupOp::ExpandAll => s.expand_all(),
+                        RegroupOp::Relax(k) => {
+                            s.relax(k);
+                        }
+                    }
+                }
+                prop_assert_eq!(&fast.frontier, &oracle.frontier);
+                for i in 0..n {
+                    let k = key(ContainerId::from_index(i));
+                    let bits = |s: &AnalysisSession| {
+                        s.layout().position(k).map(|p| (p.x.to_bits(), p.y.to_bits()))
+                    };
+                    prop_assert_eq!(bits(&fast), bits(&oracle), "container {} after {:?}", i, op);
+                }
+            }
         }
     }
 }

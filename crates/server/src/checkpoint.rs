@@ -39,7 +39,7 @@ use viva_trace::{
     ContainerId, MetricId, RecoveryMode, ResourceBudget, Trace, TraceError, TraceLoader,
 };
 
-use crate::json::Json;
+use crate::json::{Json, ObjectWriter};
 use crate::protocol::DecodeError;
 use crate::store::{content_hash, hash_token};
 
@@ -357,35 +357,37 @@ impl SessionCheckpoint {
 
     /// Serializes to the canonical one-line JSON form.
     pub fn encode(&self) -> String {
-        self.to_json().encode()
+        ObjectWriter::encode(|o| self.write_members(o))
     }
 
     /// Parses a checkpoint from its canonical JSON line.
     pub fn decode(line: &str) -> Result<SessionCheckpoint, DecodeError> {
         let v = Json::parse(line)
             .map_err(|e| DecodeError { message: format!("invalid JSON: {e}") })?;
-        SessionCheckpoint::from_json(&v)
+        SessionCheckpoint::from_json(v)
     }
 
-    pub(crate) fn to_json(&self) -> Json {
+    /// Writes the checkpoint's members; the trace CSV, by far the
+    /// largest, straight from `self`.
+    pub(crate) fn write_members(&self, o: &mut ObjectWriter<'_>) {
         let num = Json::Num;
-        let mut members = vec![
-            ("version".into(), num(self.version as f64)),
-            ("session".into(), Json::Str(self.session.clone())),
-            ("revision".into(), num(self.revision as f64)),
+        o.members(vec![
+            ("version", num(self.version as f64)),
+            ("session", Json::Str(self.session.clone())),
+            ("revision", num(self.revision as f64)),
             (
-                "slice".into(),
+                "slice",
                 Json::Obj(vec![
                     ("start".into(), num(self.slice_start)),
                     ("end".into(), num(self.slice_end)),
                 ]),
             ),
             (
-                "collapsed".into(),
+                "collapsed",
                 Json::Arr(self.collapsed.iter().map(|&c| num(c as f64)).collect()),
             ),
             (
-                "forces".into(),
+                "forces",
                 Json::Obj(vec![
                     ("repulsion".into(), num(self.forces.0)),
                     ("spring".into(), num(self.forces.1)),
@@ -393,13 +395,13 @@ impl SessionCheckpoint {
                 ]),
             ),
             (
-                "scaling".into(),
+                "scaling",
                 Json::Obj(
                     self.scaling.iter().map(|(g, f)| (g.clone(), num(*f))).collect(),
                 ),
             ),
             (
-                "nodes".into(),
+                "nodes",
                 Json::Arr(
                     self.placements
                         .iter()
@@ -415,7 +417,7 @@ impl SessionCheckpoint {
                 ),
             ),
             (
-                "quarantined".into(),
+                "quarantined",
                 Json::Arr(
                     self.quarantined
                         .iter()
@@ -425,26 +427,24 @@ impl SessionCheckpoint {
                         .collect(),
                 ),
             ),
-            ("ingest_dropped".into(), num(self.ingest_dropped as f64)),
-        ];
+            ("ingest_dropped", num(self.ingest_dropped as f64)),
+        ]);
         // Optional member: absent for batch sessions, so version-3
         // checkpoints of non-streaming sessions are byte-identical to
         // version-2 ones apart from the version number.
         if let Some((id, last_seq)) = &self.journal {
-            members.push((
-                "journal".into(),
-                Json::Obj(vec![
-                    ("id".into(), Json::Str(id.clone())),
-                    ("last_seq".into(), num(*last_seq as f64)),
-                ]),
-            ));
+            o.object("journal", |o| {
+                o.str("id", id);
+                o.member("last_seq", &num(*last_seq as f64));
+            });
         }
-        members.push(("trace_hash".into(), Json::Str(self.trace_hash.clone())));
-        members.push(("trace_csv".into(), Json::Str(self.trace_csv.clone())));
-        Json::Obj(members)
+        o.str("trace_hash", &self.trace_hash);
+        o.str("trace_csv", &self.trace_csv);
     }
 
-    pub(crate) fn from_json(v: &Json) -> Result<SessionCheckpoint, DecodeError> {
+    /// Decodes a checkpoint, moving the trace CSV out of `v` rather than
+    /// copying it.
+    pub(crate) fn from_json(mut v: Json) -> Result<SessionCheckpoint, DecodeError> {
         let bad = |m: &str| DecodeError { message: m.to_owned() };
         let uint = |v: &Json, k: &str| -> Result<u64, DecodeError> {
             v.get(k)
@@ -517,9 +517,9 @@ impl SessionCheckpoint {
         };
 
         Ok(SessionCheckpoint {
-            version: uint(v, "version")?,
-            session: text(v, "session")?,
-            revision: uint(v, "revision")?,
+            version: uint(&v, "version")?,
+            session: text(&v, "session")?,
+            revision: uint(&v, "revision")?,
             slice_start: num(slice, "start")?,
             slice_end: num(slice, "end")?,
             collapsed,
@@ -527,7 +527,7 @@ impl SessionCheckpoint {
             scaling,
             placements,
             quarantined,
-            ingest_dropped: uint(v, "ingest_dropped")?,
+            ingest_dropped: uint(&v, "ingest_dropped")?,
             journal: match v.get("journal") {
                 None | Some(Json::Null) => None,
                 Some(j) => Some((text(j, "id")?, uint(j, "last_seq")?)),
@@ -541,7 +541,10 @@ impl SessionCheckpoint {
                     .map(str::to_owned)
                     .ok_or_else(|| bad("non-string checkpoint field \"trace_hash\""))?,
             },
-            trace_csv: text(v, "trace_csv")?,
+            trace_csv: match v.take("trace_csv") {
+                Some(Json::Str(csv)) => csv,
+                _ => return Err(bad("missing or non-string checkpoint field \"trace_csv\"")),
+            },
         })
     }
 }

@@ -13,6 +13,14 @@
 //! Parsing is hardened for the trust boundary it sits on: input depth
 //! is capped so a `[[[[…`-bomb cannot overflow the stack, and every
 //! error carries the byte offset where parsing stopped.
+//!
+//! Both directions are linear in the line length. Strings are parsed
+//! and written in runs: everything between two bytes that need
+//! attention (`"`, `\`, a control character) is copied with one
+//! `push_str`, so a multi-megabyte trace upload or SVG frame costs a
+//! few memory passes. `ObjectWriter` lets the protocol layer write
+//! such a payload from where it lives instead of cloning it into a
+//! [`Json`] tree first.
 
 use std::fmt;
 
@@ -126,14 +134,78 @@ impl Json {
     /// Parses one complete JSON value; trailing non-whitespace is an
     /// error (a request line is exactly one value).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
+        Parser::new(text).document()
+    }
+
+    /// Moves the first member named `key` out of an object, leaving
+    /// `null` in its place, so a decoder can keep a large string
+    /// without copying it. `None` on non-objects or when absent.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(members) => members
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
+            _ => None,
         }
-        Ok(value)
+    }
+}
+
+/// Writes one JSON object member by member straight into the output,
+/// producing exactly the bytes of the equivalent [`Json::Obj`]. A large
+/// string member (a frame's SVG, a trace upload, a checkpoint's trace
+/// CSV) is written from a borrowed `&str`, never cloned into a tree.
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ObjectWriter<'_> {
+    /// Encodes the object whose members `fill` writes.
+    pub(crate) fn encode(fill: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+        let mut out = String::new();
+        ObjectWriter::write(&mut out, fill);
+        out
+    }
+
+    fn write(out: &mut String, fill: impl FnOnce(&mut ObjectWriter<'_>)) {
+        out.push('{');
+        fill(&mut ObjectWriter { out: &mut *out, empty: true });
+        out.push('}');
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_string(key, self.out);
+        self.out.push(':');
+    }
+
+    /// Writes `members` in order.
+    pub(crate) fn members(&mut self, members: Vec<(&str, Json)>) {
+        for (k, v) in &members {
+            self.member(k, v);
+        }
+    }
+
+    /// Writes one member.
+    pub(crate) fn member(&mut self, key: &str, value: &Json) {
+        self.key(key);
+        value.write(self.out);
+    }
+
+    /// Writes one string member from a borrowed string.
+    pub(crate) fn str(&mut self, key: &str, value: &str) {
+        self.key(key);
+        write_string(value, self.out);
+    }
+
+    /// Writes one object member whose members `fill` writes.
+    pub(crate) fn object(&mut self, key: &str, fill: impl FnOnce(&mut ObjectWriter<'_>)) {
+        self.key(key);
+        ObjectWriter::write(self.out, fill);
     }
 }
 
@@ -153,24 +225,44 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
+/// The bytes a JSON string cannot carry literally: the quote, the
+/// backslash and the control characters. All are ASCII, so they never
+/// fall inside a multi-byte UTF-8 scalar, and the text between two of
+/// them can be copied as one run in both directions.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// Writes `s` as a string literal with canonical escapes: two-character
+/// escapes where JSON defines them, `\u00XX` for the other control
+/// characters, everything else copied verbatim in runs.
 fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -194,9 +286,33 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Test builds only: parse strings with the original
+    /// char-at-a-time oracle (see the tests) instead of in runs.
+    #[cfg(test)]
+    oracle: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            #[cfg(test)]
+            oracle: false,
+        }
+    }
+
+    /// Parses one complete value with nothing but whitespace around it.
+    fn document(mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let value = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError { message: message.into(), offset: self.pos }
     }
@@ -302,9 +418,21 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
+        #[cfg(test)]
+        if self.oracle {
+            return self.string_char_at_a_time();
+        }
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            let run = self.bytes[start..].iter().position(|&b| needs_escape(b));
+            self.pos = run.map_or(self.bytes.len(), |n| start + n);
+            // The input is a &str and runs end on ASCII bytes, so this
+            // check cannot fail; it stays as a guard, paid once per run.
+            let text = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| JsonError { message: "invalid UTF-8".into(), offset: start })?;
+            out.push_str(text);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -332,18 +460,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("raw control character in string"))
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -417,6 +534,126 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    // The original char-at-a-time string parser and writer, kept as
+    // oracles: the run-based versions must agree with them byte for
+    // byte, error messages and offsets included.
+    impl Parser<'_> {
+        pub(super) fn string_char_at_a_time(&mut self) -> Result<String, JsonError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        match self.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'b') => out.push('\u{08}'),
+                            Some(b'f') => out.push('\u{0c}'),
+                            Some(b'u') => {
+                                self.pos += 1;
+                                let c = self.unicode_escape()?;
+                                out.push(c);
+                                continue;
+                            }
+                            _ => return Err(self.err("invalid escape")),
+                        }
+                        self.pos += 1;
+                    }
+                    Some(b) if b < 0x20 => {
+                        return Err(self.err("raw control character in string"))
+                    }
+                    Some(_) => {
+                        // Consume one UTF-8 scalar (input is a &str, so the
+                        // bytes are valid UTF-8 by construction).
+                        let rest = &self.bytes[self.pos..];
+                        let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
+                        let c = s.chars().next().unwrap();
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    fn write_string_char_at_a_time(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    use fmt::Write;
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn parse_char_at_a_time(text: &str) -> Result<Json, JsonError> {
+        Parser { oracle: true, ..Parser::new(text) }.document()
+    }
+
+    /// One scalar from each class the codec treats differently: plain
+    /// ASCII, every control character, the three escapable printables,
+    /// and 2-, 3- and 4-byte UTF-8.
+    fn any_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x00u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            prop_oneof![Just('"'), Just('\\'), Just('/')],
+            (0x80u32..0x800).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x800u32..0xd800).prop_map(|c| char::from_u32(c).unwrap()),
+            (0xe000u32..0x10000).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x10000u32..0x110000).prop_map(|c| char::from_u32(c).unwrap()),
+        ]
+    }
+
+    fn any_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(any_char(), 0..48).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// A string body mixing valid text with the fragments that make the
+    /// string parser fail: raw control characters, bad escapes,
+    /// truncated and unpaired `\u` escapes.
+    fn hostile_body() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            any_char().prop_map(String::from),
+            prop_oneof![
+                Just("\\x"),
+                Just("\\u12"),
+                Just("\\uzz00"),
+                Just("\\ud800"),
+                Just("\\ud800\\u0041"),
+                Just("\\udc00"),
+                Just("\\ud83d\\ude00"),
+                Just("\\u00e9"),
+                Just("\\"),
+                Just("\""),
+            ]
+            .prop_map(String::from),
+        ];
+        proptest::collection::vec(piece, 0..24).prop_map(|ps| ps.concat())
+    }
 
     #[test]
     fn parses_scalars() {
@@ -499,5 +736,34 @@ mod tests {
         assert_eq!(Json::Num(5.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Str("5".into()).as_u64(), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn strings_round_trip(s in any_string()) {
+            let text = Json::Str(s.clone()).encode();
+            prop_assert_eq!(Json::parse(&text), Ok(Json::Str(s)));
+        }
+
+        #[test]
+        fn run_writer_matches_char_at_a_time_writer(s in any_string()) {
+            let (mut runs, mut chars) = (String::new(), String::new());
+            write_string(&s, &mut runs);
+            write_string_char_at_a_time(&s, &mut chars);
+            prop_assert_eq!(runs, chars);
+        }
+
+        #[test]
+        fn run_parser_matches_char_at_a_time_parser(
+            body in hostile_body(),
+            closed in 0usize..2,
+            wrap in 0usize..2,
+        ) {
+            let string = if closed == 1 { format!("\"{body}\"") } else { format!("\"{body}") };
+            let text = if wrap == 1 { format!("{{\"k\":{string},{string}:1}}") } else { string };
+            prop_assert_eq!(Json::parse(&text), parse_char_at_a_time(&text));
+        }
     }
 }

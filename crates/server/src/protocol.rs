@@ -21,7 +21,7 @@ use viva::Theme;
 use viva_trace::RecoveryMode;
 
 use crate::checkpoint::SessionCheckpoint;
-use crate::json::Json;
+use crate::json::{Json, ObjectWriter};
 use crate::store::TraceEntry;
 
 /// A request from the analyst's client to the server.
@@ -960,6 +960,15 @@ fn str_field(obj: &Json, key: &str) -> Result<String, DecodeError> {
         .ok_or_else(|| bad(format!("missing or non-string field {key:?}")))
 }
 
+/// Moves a required string member out of `obj`: a bulky payload (a
+/// trace upload, a frame's SVG) is kept without copying it.
+fn take_str(obj: &mut Json, key: &str) -> Result<String, DecodeError> {
+    match obj.take(key) {
+        Some(Json::Str(s)) => Ok(s),
+        _ => Err(bad(format!("missing or non-string field {key:?}"))),
+    }
+}
+
 /// Fetches a required (finite) number member.
 fn num_field(obj: &Json, key: &str) -> Result<f64, DecodeError> {
     obj.get(key)
@@ -1080,57 +1089,56 @@ impl Command {
 
     /// Serializes to the canonical one-line JSON form.
     pub fn encode(&self) -> String {
-        self.to_json().encode()
+        ObjectWriter::encode(|o| self.write_members(o))
     }
 
-    fn to_json(&self) -> Json {
+    fn write_members(&self, o: &mut ObjectWriter<'_>) {
         let name = Json::Str(self.name().to_owned());
         match self {
-            Command::Ping | Command::Sessions => obj(vec![("cmd", name)]),
+            Command::Ping | Command::Sessions => o.members(vec![("cmd", name)]),
             Command::CloseSession { session } => {
-                obj(vec![("cmd", name), ("session", Json::Str(session.clone()))])
+                o.members(vec![("cmd", name), ("session", Json::Str(session.clone()))])
             }
             Command::LoadTrace { session, mode, text, trace } => {
-                let mut members = vec![
+                o.members(vec![
                     ("cmd", name),
                     ("session", Json::Str(session.clone())),
                     ("mode", Json::Str(mode_token(*mode).to_owned())),
-                    ("text", Json::Str(text.clone())),
-                ];
+                ]);
+                o.str("text", text);
                 if let Some(t) = trace {
-                    members.push(("trace", Json::Str(t.clone())));
+                    o.str("trace", t);
                 }
-                obj(members)
             }
-            Command::Attach { session, trace } => obj(vec![
+            Command::Attach { session, trace } => o.members(vec![
                 ("cmd", name),
                 ("session", Json::Str(session.clone())),
                 ("trace", Json::Str(trace.clone())),
             ]),
-            Command::ListTraces => obj(vec![("cmd", name)]),
+            Command::ListTraces => o.members(vec![("cmd", name)]),
             Command::DropTrace { trace } => {
-                obj(vec![("cmd", name), ("trace", Json::Str(trace.clone()))])
+                o.members(vec![("cmd", name), ("trace", Json::Str(trace.clone()))])
             }
-            Command::SetTimeSlice { session, start, end } => obj(vec![
+            Command::SetTimeSlice { session, start, end } => o.members(vec![
                 ("cmd", name),
                 ("session", Json::Str(session.clone())),
                 ("start", Json::Num(*start)),
                 ("end", Json::Num(*end)),
             ]),
             Command::Collapse { session, container } | Command::Expand { session, container } => {
-                obj(vec![
+                o.members(vec![
                     ("cmd", name),
                     ("session", Json::Str(session.clone())),
                     ("container", Json::Str(container.clone())),
                 ])
             }
-            Command::CollapseAtDepth { session, depth } => obj(vec![
+            Command::CollapseAtDepth { session, depth } => o.members(vec![
                 ("cmd", name),
                 ("session", Json::Str(session.clone())),
                 ("depth", Json::Num(*depth as f64)),
             ]),
             Command::ExpandAll { session } => {
-                obj(vec![("cmd", name), ("session", Json::Str(session.clone()))])
+                o.members(vec![("cmd", name), ("session", Json::Str(session.clone()))])
             }
             Command::SetForces { session, repulsion, spring, damping } => {
                 let mut members = vec![("cmd", name), ("session", Json::Str(session.clone()))];
@@ -1143,32 +1151,32 @@ impl Command {
                 if let Some(d) = damping {
                     members.push(("damping", Json::Num(*d)));
                 }
-                obj(members)
+                o.members(members)
             }
-            Command::SetScaling { session, group, factor } => obj(vec![
+            Command::SetScaling { session, group, factor } => o.members(vec![
                 ("cmd", name),
                 ("session", Json::Str(session.clone())),
                 ("group", Json::Str(group.clone())),
                 ("factor", Json::Num(*factor)),
             ]),
-            Command::Drag { session, container, x, y } => obj(vec![
+            Command::Drag { session, container, x, y } => o.members(vec![
                 ("cmd", name),
                 ("session", Json::Str(session.clone())),
                 ("container", Json::Str(container.clone())),
                 ("x", Json::Num(*x)),
                 ("y", Json::Num(*y)),
             ]),
-            Command::Release { session, container } => obj(vec![
+            Command::Release { session, container } => o.members(vec![
                 ("cmd", name),
                 ("session", Json::Str(session.clone())),
                 ("container", Json::Str(container.clone())),
             ]),
-            Command::Relax { session, steps } => obj(vec![
+            Command::Relax { session, steps } => o.members(vec![
                 ("cmd", name),
                 ("session", Json::Str(session.clone())),
                 ("steps", Json::Num(*steps as f64)),
             ]),
-            Command::Aggregate { session, metric, group } => obj(vec![
+            Command::Aggregate { session, metric, group } => o.members(vec![
                 ("cmd", name),
                 ("session", Json::Str(session.clone())),
                 ("metric", Json::Str(metric.clone())),
@@ -1182,7 +1190,7 @@ impl Command {
                 if *reset {
                     members.push(("reset", Json::Bool(true)));
                 }
-                obj(members)
+                o.members(members)
             }
             Command::Spans { session, limit } => {
                 let mut members = vec![("cmd", name)];
@@ -1192,7 +1200,7 @@ impl Command {
                 if let Some(l) = limit {
                     members.push(("limit", Json::Num(*l as f64)));
                 }
-                obj(members)
+                o.members(members)
             }
             Command::Render { session, width, height, theme, labels, zoom, pan_x, pan_y } => {
                 let mut members = vec![
@@ -1212,42 +1220,43 @@ impl Command {
                 if let Some(p) = pan_y {
                     members.push(("pan_y", Json::Num(*p)));
                 }
-                obj(members)
+                o.members(members)
             }
             Command::Checkpoint { session } => {
-                obj(vec![("cmd", name), ("session", Json::Str(session.clone()))])
+                o.members(vec![("cmd", name), ("session", Json::Str(session.clone()))])
             }
             Command::Restore { session, state } => {
-                let mut members = vec![("cmd", name), ("session", Json::Str(session.clone()))];
+                o.members(vec![("cmd", name), ("session", Json::Str(session.clone()))]);
                 if let Some(s) = state {
-                    members.push(("state", s.to_json()));
+                    o.object("state", |o| s.write_members(o));
                 }
-                obj(members)
             }
-            Command::Append { session, seq, text } => obj(vec![
-                ("cmd", name),
-                ("session", Json::Str(session.clone())),
-                ("seq", Json::Num(*seq as f64)),
-                ("text", Json::Str(text.clone())),
-            ]),
+            Command::Append { session, seq, text } => {
+                o.members(vec![
+                    ("cmd", name),
+                    ("session", Json::Str(session.clone())),
+                    ("seq", Json::Num(*seq as f64)),
+                ]);
+                o.str("text", text);
+            }
             Command::Seal { session } => {
-                obj(vec![("cmd", name), ("session", Json::Str(session.clone()))])
+                o.members(vec![("cmd", name), ("session", Json::Str(session.clone()))])
             }
             Command::Subscribe { session, from_seq } => {
                 let mut members = vec![("cmd", name), ("session", Json::Str(session.clone()))];
                 if let Some(f) = from_seq {
                     members.push(("from_seq", Json::Num(*f as f64)));
                 }
-                obj(members)
+                o.members(members)
             }
-            Command::Shutdown => obj(vec![("cmd", name)]),
+            Command::Shutdown => o.members(vec![("cmd", name)]),
         }
     }
 
     /// Decodes one request line. Unknown members are ignored; missing
     /// or ill-typed required members are a [`DecodeError`].
     pub fn decode(line: &str) -> Result<Command, DecodeError> {
-        let v = Json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
+        let mut v = Json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
         if !matches!(v, Json::Obj(_)) {
             return Err(bad("request must be a JSON object"));
         }
@@ -1270,7 +1279,7 @@ impl Command {
                 Command::LoadTrace {
                     session: session()?,
                     mode,
-                    text: str_field(&v, "text")?,
+                    text: take_str(&mut v, "text")?,
                     trace: opt_str_field(&v, "trace")?,
                 }
             }
@@ -1359,7 +1368,7 @@ impl Command {
             "checkpoint" => Command::Checkpoint { session: session()? },
             "restore" => Command::Restore {
                 session: session()?,
-                state: match v.get("state") {
+                state: match v.take("state") {
                     None | Some(Json::Null) => None,
                     Some(s) => Some(Box::new(SessionCheckpoint::from_json(s)?)),
                 },
@@ -1367,7 +1376,7 @@ impl Command {
             "append" => Command::Append {
                 session: session()?,
                 seq: uint_field(&v, "seq")?,
-                text: str_field(&v, "text")?,
+                text: take_str(&mut v, "text")?,
             },
             "seal" => Command::Seal { session: session()? },
             "subscribe" => Command::Subscribe {
@@ -1388,17 +1397,17 @@ impl Command {
 impl Response {
     /// Serializes to the canonical one-line JSON form.
     pub fn encode(&self) -> String {
-        self.to_json().encode()
+        ObjectWriter::encode(|o| self.write_members(o))
     }
 
-    fn to_json(&self) -> Json {
+    fn write_members(&self, o: &mut ObjectWriter<'_>) {
         match self {
-            Response::Pong => obj(vec![("ok", Json::Str("pong".into()))]),
-            Response::SessionList { names } => obj(vec![
+            Response::Pong => o.members(vec![("ok", Json::Str("pong".into()))]),
+            Response::SessionList { names } => o.members(vec![
                 ("ok", Json::Str("sessions".into())),
                 ("names", Json::Arr(names.iter().map(|n| Json::Str(n.clone())).collect())),
             ]),
-            Response::Closed { session } => obj(vec![
+            Response::Closed { session } => o.members(vec![
                 ("ok", Json::Str("closed".into())),
                 ("session", Json::Str(session.clone())),
             ]),
@@ -1411,7 +1420,7 @@ impl Response {
                 start,
                 end,
                 breach,
-            } => obj(vec![
+            } => o.members(vec![
                 ("ok", Json::Str("loaded".into())),
                 ("session", Json::Str(session.clone())),
                 ("containers", Json::Num(*containers as f64)),
@@ -1428,7 +1437,7 @@ impl Response {
                     },
                 ),
             ]),
-            Response::Attached { session, trace, containers, events, start, end } => obj(vec![
+            Response::Attached { session, trace, containers, events, start, end } => o.members(vec![
                 ("ok", Json::Str("attached".into())),
                 ("session", Json::Str(session.clone())),
                 ("trace", Json::Str(trace.clone())),
@@ -1437,7 +1446,7 @@ impl Response {
                 ("start", Json::Num(*start)),
                 ("end", Json::Num(*end)),
             ]),
-            Response::TraceList { traces } => obj(vec![
+            Response::TraceList { traces } => o.members(vec![
                 ("ok", Json::Str("traces".into())),
                 (
                     "traces",
@@ -1457,26 +1466,26 @@ impl Response {
                     ),
                 ),
             ]),
-            Response::TraceDropped { trace } => obj(vec![
+            Response::TraceDropped { trace } => o.members(vec![
                 ("ok", Json::Str("trace_dropped".into())),
                 ("trace", Json::Str(trace.clone())),
             ]),
-            Response::Slice { start, end } => obj(vec![
+            Response::Slice { start, end } => o.members(vec![
                 ("ok", Json::Str("slice".into())),
                 ("start", Json::Num(*start)),
                 ("end", Json::Num(*end)),
             ]),
-            Response::Done { revision } => obj(vec![
+            Response::Done { revision } => o.members(vec![
                 ("ok", Json::Str("done".into())),
                 ("revision", Json::Num(*revision as f64)),
             ]),
-            Response::Forces { repulsion, spring, damping } => obj(vec![
+            Response::Forces { repulsion, spring, damping } => o.members(vec![
                 ("ok", Json::Str("forces".into())),
                 ("repulsion", Json::Num(*repulsion)),
                 ("spring", Json::Num(*spring)),
                 ("damping", Json::Num(*damping)),
             ]),
-            Response::Relaxed { steps, frozen } => obj(vec![
+            Response::Relaxed { steps, frozen } => o.members(vec![
                 ("ok", Json::Str("relaxed".into())),
                 ("steps", Json::Num(*steps as f64)),
                 (
@@ -1496,7 +1505,7 @@ impl Response {
                 median,
                 quarantined,
                 empty,
-            } => obj(vec![
+            } => o.members(vec![
                 ("ok", Json::Str("aggregate".into())),
                 ("members", Json::Num(*members as f64)),
                 ("integral", Json::Num(*integral)),
@@ -1507,7 +1516,7 @@ impl Response {
                 ("quarantined", Json::Num(*quarantined as f64)),
                 ("empty", Json::Bool(*empty)),
             ]),
-            Response::Stats { sessions, server, session } => obj(vec![
+            Response::Stats { sessions, server, session } => o.members(vec![
                 ("ok", Json::Str("stats".into())),
                 ("sessions", Json::Num(*sessions as f64)),
                 // The exact histogram bucket upper bounds — a protocol
@@ -1528,45 +1537,49 @@ impl Response {
                     },
                 ),
             ]),
-            Response::Spans { dropped, spans } => obj(vec![
+            Response::Spans { dropped, spans } => o.members(vec![
                 ("ok", Json::Str("spans".into())),
                 ("dropped", Json::Num(*dropped as f64)),
                 ("spans", Json::Arr(spans.iter().map(SpanNode::to_json).collect())),
             ]),
-            Response::Frame { revision, cached, svg } => obj(vec![
-                ("ok", Json::Str("frame".into())),
-                ("revision", Json::Num(*revision as f64)),
-                ("cached", Json::Bool(*cached)),
-                ("svg", Json::Str(svg.clone())),
-            ]),
-            Response::Checkpointed { session, state } => obj(vec![
-                ("ok", Json::Str("checkpoint".into())),
-                ("session", Json::Str(session.clone())),
-                ("state", state.to_json()),
-            ]),
-            Response::Restored { session, revision } => obj(vec![
+            Response::Frame { revision, cached, svg } => {
+                o.members(vec![
+                    ("ok", Json::Str("frame".into())),
+                    ("revision", Json::Num(*revision as f64)),
+                    ("cached", Json::Bool(*cached)),
+                ]);
+                o.str("svg", svg);
+            }
+            Response::Checkpointed { session, state } => {
+                o.members(vec![
+                    ("ok", Json::Str("checkpoint".into())),
+                    ("session", Json::Str(session.clone())),
+                ]);
+                o.object("state", |o| state.write_members(o));
+            }
+            Response::Restored { session, revision } => o.members(vec![
                 ("ok", Json::Str("restored".into())),
                 ("session", Json::Str(session.clone())),
                 ("revision", Json::Num(*revision as f64)),
             ]),
-            Response::Appended { session, seq, revision, duplicate } => obj(vec![
+            Response::Appended { session, seq, revision, duplicate } => o.members(vec![
                 ("ok", Json::Str("appended".into())),
                 ("session", Json::Str(session.clone())),
                 ("seq", Json::Num(*seq as f64)),
                 ("revision", Json::Num(*revision as f64)),
                 ("duplicate", Json::Bool(*duplicate)),
             ]),
-            Response::Sealed { session, last_seq } => obj(vec![
+            Response::Sealed { session, last_seq } => o.members(vec![
                 ("ok", Json::Str("sealed".into())),
                 ("session", Json::Str(session.clone())),
                 ("last_seq", Json::Num(*last_seq as f64)),
             ]),
-            Response::Subscribed { session, last_seq } => obj(vec![
+            Response::Subscribed { session, last_seq } => o.members(vec![
                 ("ok", Json::Str("subscribed".into())),
                 ("session", Json::Str(session.clone())),
                 ("last_seq", Json::Num(*last_seq as f64)),
             ]),
-            Response::ShutdownStarted { sessions, checkpointed } => obj(vec![
+            Response::ShutdownStarted { sessions, checkpointed } => o.members(vec![
                 ("ok", Json::Str("shutdown".into())),
                 ("sessions", Json::Num(*sessions as f64)),
                 ("checkpointed", Json::Num(*checkpointed as f64)),
@@ -1582,7 +1595,7 @@ impl Response {
                 if let ErrorKind::SeqGap { expected } = kind {
                     members.push(("expected", Json::Num(*expected as f64)));
                 }
-                obj(members)
+                o.members(members)
             }
         }
     }
@@ -1590,7 +1603,7 @@ impl Response {
     /// Decodes one response line (used by clients and the transcript
     /// tooling; the server only encodes).
     pub fn decode(line: &str) -> Result<Response, DecodeError> {
-        let v = Json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
+        let mut v = Json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
         if let Some(err) = v.get("err") {
             let token = err.as_str().ok_or_else(|| bad("non-string \"err\""))?;
             let mut kind = ErrorKind::from_token(token)
@@ -1708,12 +1721,12 @@ impl Response {
                     .get("cached")
                     .and_then(Json::as_bool)
                     .ok_or_else(|| bad("missing or non-boolean field \"cached\""))?,
-                svg: str_field(&v, "svg")?,
+                svg: take_str(&mut v, "svg")?,
             },
             "checkpoint" => Response::Checkpointed {
                 session: str_field(&v, "session")?,
                 state: Box::new(SessionCheckpoint::from_json(
-                    v.get("state").ok_or_else(|| bad("missing field \"state\""))?,
+                    v.take("state").ok_or_else(|| bad("missing field \"state\""))?,
                 )?),
             },
             "restored" => Response::Restored {
