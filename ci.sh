@@ -131,6 +131,24 @@ cmp /tmp/viva_upload_smoke_stdio.ndjson /tmp/viva_upload_smoke_tcp.ndjson
 
 echo '{"cmd":"shutdown"}' | target/release/viva-server-client --tcp "$ADDR" > /dev/null
 wait "$SRV_PID"
+
+echo "==> server-smoke: an idle TCP server uses no CPU"
+# Idle shards block in poll(2) rather than wake on a timer, so four
+# idle workers may spend at most 2 clock ticks of CPU (utime + stime
+# in /proc/PID/stat) in 2 s. `timeout` bounds the server's life even
+# if this step fails half way.
+timeout 30 target/release/viva-server --tcp 127.0.0.1:0 --workers 4 > /dev/null 2>&1 &
+IDLE_TIMEOUT_PID=$!
+sleep 1
+IDLE_PID=$(pgrep -P "$IDLE_TIMEOUT_PID" viva-server)
+cpu_ticks() { sed 's/^.*) //' "/proc/$1/stat" | awk '{ print $12 + $13 }'; }
+IDLE_T0=$(cpu_ticks "$IDLE_PID")
+sleep 2
+IDLE_T1=$(cpu_ticks "$IDLE_PID")
+kill "$IDLE_TIMEOUT_PID"
+wait "$IDLE_TIMEOUT_PID" 2> /dev/null || true
+test $((IDLE_T1 - IDLE_T0)) -le 2 \
+  || { echo "idle viva-server used $((IDLE_T1 - IDLE_T0)) CPU ticks in 2 s (limit 2)" >&2; exit 1; }
 cargo run --quiet --release -p viva-bench --bin fig_server -- --small > /dev/null
 
 scale_smoke

@@ -11,6 +11,10 @@
 //!
 //! # Shared server:
 //! viva-server --tcp 127.0.0.1:7878 --workers 8 --max-sessions 64
+//!
+//! # Room for the 100k-host scale (the default budget is 100,000
+//! # containers per loaded trace):
+//! viva-server --tcp 127.0.0.1:7878 --max-containers 200000
 //! ```
 
 use std::net::TcpListener;
@@ -24,6 +28,7 @@ struct Args {
     tcp: Option<String>,
     workers: usize,
     max_sessions: Option<usize>,
+    max_containers: Option<usize>,
     max_relax_steps: Option<u64>,
     metrics_out: Option<String>,
     max_inflight: Option<usize>,
@@ -39,9 +44,9 @@ struct Args {
 }
 
 const USAGE: &str = "usage: viva-server [--stdio | --tcp ADDR] [--workers N] \
-                     [--max-sessions N] [--max-relax-steps N] [--metrics-out PATH] \
-                     [--max-inflight N] [--io-timeout-ms N] [--checkpoint-dir DIR] \
-                     [--journal-dir DIR] [--journal-sync-every N] \
+                     [--max-sessions N] [--max-containers N] [--max-relax-steps N] \
+                     [--metrics-out PATH] [--max-inflight N] [--io-timeout-ms N] \
+                     [--checkpoint-dir DIR] [--journal-dir DIR] [--journal-sync-every N] \
                      [--interactive-deadlines] [--self-trace DIR] \
                      [--trace-seed N] [--trace-sample N] [--check-trace FILE]";
 
@@ -50,6 +55,7 @@ fn parse_args() -> Result<Args, String> {
         tcp: None,
         workers: 4,
         max_sessions: None,
+        max_containers: None,
         max_relax_steps: None,
         metrics_out: None,
         max_inflight: None,
@@ -79,6 +85,13 @@ fn parse_args() -> Result<Args, String> {
                     value("--max-sessions")?
                         .parse()
                         .map_err(|_| "--max-sessions needs an integer".to_owned())?,
+                );
+            }
+            "--max-containers" => {
+                args.max_containers = Some(
+                    value("--max-containers")?
+                        .parse()
+                        .map_err(|_| "--max-containers needs an integer".to_owned())?,
                 );
             }
             "--max-relax-steps" => {
@@ -199,6 +212,11 @@ fn main() -> ExitCode {
     let mut limits = ServerLimits::default();
     if let Some(n) = args.max_sessions {
         limits.max_sessions = n;
+    }
+    if let Some(n) = args.max_containers {
+        // The container budget of every `load_trace` and `restore`; the
+        // other budget fields keep their defaults.
+        limits.load_budget.max_containers = n;
     }
     if let Some(n) = args.max_relax_steps {
         limits.max_relax_steps = n;

@@ -232,7 +232,7 @@ impl SessionCheckpoint {
             TraceError::BudgetExceeded(b) => RestoreError::Trace(b.to_string()),
             other => RestoreError::Trace(other.to_string()),
         })?;
-        let mut trace = report.trace.clone();
+        let mut trace = report.trace;
         let containers = trace.containers().len() as u64;
         let metrics = trace.metrics().len() as u64;
 

@@ -27,7 +27,7 @@
 //!   without re-aggregating, repeat renders are free.
 //! * [`server`] — [`Server`]: the transport-agnostic
 //!   request loop, served over stdio (single analyst) or a
-//!   `TcpListener` with a thread-per-connection worker pool — behind
+//!   `TcpListener` by sharded readiness loops that block in `poll(2)` — behind
 //!   admission control, per-command deadlines, and a graceful drain
 //!   (DESIGN.md §14).
 //! * [`checkpoint`] — [`SessionCheckpoint`]:
@@ -59,6 +59,7 @@
 pub mod cache;
 pub mod checkpoint;
 pub mod json;
+mod poll;
 pub mod protocol;
 pub mod registry;
 pub mod selftrace;

@@ -7,12 +7,14 @@
 //! * [`Server::serve`] pumps any `BufRead`/`Write` pair — the stdio
 //!   single-analyst mode;
 //! * [`serve_tcp`] runs an **event-driven readiness loop** over
-//!   non-blocking sockets (std-only — `set_nonblocking` plus a
-//!   sleep-backed poll shim, no external dependencies): `workers`
-//!   shard threads each own a set of connections with per-connection
-//!   read/write buffers, so one shard multiplexes hundreds of
-//!   connections and one syscall round drains every complete NDJSON
-//!   frame a pipelining client has batched.
+//!   non-blocking sockets: `workers` shard threads each own a set of
+//!   connections with per-connection read/write buffers, so one shard
+//!   multiplexes hundreds of connections and one syscall round drains
+//!   every complete NDJSON frame a pipelining client has batched. An
+//!   idle shard blocks in `poll(2)` on its sockets, the listener and a
+//!   per-shard waker (no external dependencies — one `extern "C"`
+//!   call into the libc `std` links), so a request is served the
+//!   moment it arrives and an idle server uses no CPU.
 //!
 //! Responses are deterministic: a fresh server given the same command
 //! script produces byte-identical output, including the `cached`
@@ -48,6 +50,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -58,11 +61,12 @@ use viva_agg::AggIndex;
 use viva_layout::Vec2;
 use viva_obs::{Recorder, SpanGuard, SpanId, Tracer};
 use viva_trace::{
-    live, ContainerId, JournalConfig, JournalWriter, LiveLine, RecoveryMode, ResourceBudget,
-    TraceError, TraceLoader,
+    live, write_atomic, ContainerId, JournalConfig, JournalWriter, LiveLine, RecoveryMode,
+    ResourceBudget, TraceError, TraceLoader,
 };
 
 use crate::checkpoint::{checkpoint_file_name, SessionCheckpoint};
+use crate::poll::{self, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{Command, DeltaNode, ErrorKind, Push, Response, SessionStats, StatsBlock};
 use crate::registry::{LiveStream, ServerLimits, ServerSession, SessionRegistry, SessionSlot};
 use crate::store::{content_hash, hash_token, StoredTrace, TraceStore};
@@ -102,6 +106,9 @@ pub struct Server {
     /// transport tick skip the table lock when nothing is pending —
     /// the common case for servers nobody subscribes to.
     queued_pushes: AtomicUsize,
+    /// The waker of every TCP shard serving this server: a drain must
+    /// reach shards blocked in their readiness wait.
+    wakers: Mutex<Vec<Arc<Waker>>>,
 }
 
 /// One registered subscriber of a live session.
@@ -124,6 +131,10 @@ struct ConnTable {
     /// Encoded push lines queued per connection, drained by the
     /// transport between request/response pairs.
     queues: HashMap<u64, Vec<String>>,
+    /// The waker of the TCP shard that owns each connection, woken when
+    /// another thread queues a push for it. Other transports drain
+    /// their queues without being woken and have no entry.
+    owners: HashMap<u64, Arc<Waker>>,
     /// Session name → subscribers.
     subs: HashMap<String, Vec<SubEntry>>,
 }
@@ -345,6 +356,7 @@ impl Server {
             draining: AtomicBool::new(false),
             conns: Mutex::new(ConnTable::default()),
             queued_pushes: AtomicUsize::new(0),
+            wakers: Mutex::new(Vec::new()),
         }
     }
 
@@ -478,10 +490,20 @@ impl Server {
     /// [`Server::handle_line_on`], drains [`Server::take_pushes`], and
     /// calls [`Server::close_conn`] when the connection ends.
     pub fn open_conn(&self) -> u64 {
+        self.open_conn_on(None)
+    }
+
+    /// [`open_conn`](Self::open_conn) for a connection whose transport
+    /// blocks in a readiness wait: `waker` interrupts it when a push
+    /// is queued from another thread.
+    fn open_conn_on(&self, waker: Option<&Arc<Waker>>) -> u64 {
         let mut tbl = self.conns();
         tbl.next_id += 1;
         let id = tbl.next_id;
         tbl.queues.insert(id, Vec::new());
+        if let Some(w) = waker {
+            tbl.owners.insert(id, Arc::clone(w));
+        }
         id
     }
 
@@ -490,6 +512,7 @@ impl Server {
     pub fn close_conn(&self, conn: u64) {
         let mut tbl = self.conns();
         let dropped = tbl.queues.remove(&conn).map_or(0, |q| q.len());
+        tbl.owners.remove(&conn);
         self.adjust_queued(-(dropped as isize));
         for entries in tbl.subs.values_mut() {
             entries.retain(|e| e.conn != conn);
@@ -531,11 +554,18 @@ impl Server {
         let mut delta = 0isize;
         let mut shed_conns: Vec<u64> = Vec::new();
         let mut depth = 0usize;
+        let mut wake: Vec<Arc<Waker>> = Vec::new();
         {
-            let ConnTable { queues, subs, .. } = &mut *tbl;
+            let ConnTable { queues, subs, owners, .. } = &mut *tbl;
             let Some(entries) = subs.get_mut(session) else { return };
             for e in entries.iter_mut() {
                 let Some(q) = queues.get_mut(&e.conn) else { continue };
+                // Queued or shed, the connection has a line to collect.
+                if let Some(w) = owners.get(&e.conn) {
+                    if !wake.iter().any(|x| Arc::ptr_eq(x, w)) {
+                        wake.push(Arc::clone(w));
+                    }
+                }
                 if q.len() >= cap {
                     shed_conns.push(e.conn);
                     continue;
@@ -556,6 +586,10 @@ impl Server {
         }
         self.adjust_queued(delta);
         drop(tbl);
+        // One wake-up per owning shard for the whole broadcast.
+        for w in wake {
+            w.wake();
+        }
         self.push_metrics(shed, depth);
     }
 
@@ -588,8 +622,19 @@ impl Server {
             }
         }
         self.adjust_queued(delta);
+        let owner = tbl.owners.get(&conn).cloned();
         drop(tbl);
+        if let Some(w) = owner {
+            w.wake();
+        }
         self.push_metrics(shed, depth);
+    }
+
+    /// Wakes every TCP shard out of its readiness wait.
+    fn wake_shards(&self) {
+        for w in self.wakers.lock().unwrap_or_else(|p| p.into_inner()).iter() {
+            w.wake();
+        }
     }
 
     /// Handles one raw request line. Returns `None` for blank lines
@@ -885,8 +930,9 @@ impl Server {
             Err(e) => return err(ErrorKind::ParseTrace, e.to_string()),
         };
         // Parse and index are paid exactly once, here; the session and
-        // every later `attach` share the results through `Arc`s.
-        let trace = Arc::new(report.trace.clone());
+        // every later `attach` share the results through `Arc`s. The
+        // trace moves out of the report; its counters stay readable.
+        let trace = Arc::new(report.trace);
         let index = Arc::new(AggIndex::build_observed(&trace, &session_recorder));
         let analysis = AnalysisSession::builder(Arc::clone(&trace))
             .shared_index(Arc::clone(&index))
@@ -1078,6 +1124,9 @@ impl Server {
                 self.recorder.event("server.drain", "begin");
             }
         }
+        // Blocked shards must see the drain now, not at their next
+        // request.
+        self.wake_shards();
         let names = self.registry.names();
         let sessions = names.len() as u64;
         let mut checkpointed = 0u64;
@@ -1113,10 +1162,11 @@ impl Server {
         }
     }
 
-    /// Writes a checkpoint to the checkpoint directory. Returns whether
-    /// a file was written; persistence failures are observable (counter
-    /// and event) but never fail the command — the inline checkpoint in
-    /// the response is still good.
+    /// Writes a checkpoint to the checkpoint directory, atomically: a
+    /// crash mid-write leaves the previous checkpoint whole. Returns
+    /// whether a file was written; persistence failures are observable
+    /// (counter and event) but never fail the command — the inline
+    /// checkpoint in the response is still good.
     fn persist_checkpoint(&self, ckpt: &SessionCheckpoint) -> bool {
         let Some(dir) = &self.registry.limits().checkpoint_dir else {
             return false;
@@ -1128,7 +1178,7 @@ impl Server {
             return false;
         };
         let written = fs::create_dir_all(dir)
-            .and_then(|()| fs::write(dir.join(file), format!("{}\n", ckpt.encode())))
+            .and_then(|()| write_atomic(&dir.join(file), format!("{}\n", ckpt.encode()).as_bytes()))
             .is_ok();
         if !written {
             self.note("server.checkpoint_io_errors");
@@ -1267,7 +1317,7 @@ impl Server {
         let report = loader
             .load_str(text)
             .expect("a lenient load with an unlimited budget recovers from anything");
-        let trace = Arc::new(report.trace.clone());
+        let trace = Arc::new(report.trace);
         let index = Arc::new(AggIndex::build_observed(&trace, recorder));
         AnalysisSession::builder(Arc::clone(&trace))
             .shared_index(index)
@@ -1357,7 +1407,7 @@ impl Server {
         let report = loader
             .load_str(&live.text)
             .expect("a lenient load with an unlimited budget recovers from anything");
-        let trace = Arc::new(report.trace.clone());
+        let trace = Arc::new(report.trace);
         let index = Arc::new(AggIndex::build_observed(&trace, &recorder));
         live.span = live::span_after(&live.text);
         s.analysis.rebase(trace, Some(index));
@@ -2015,6 +2065,13 @@ impl Conn {
             close_after_flush: false,
         }
     }
+
+    /// Whether the shard reads from this connection: not once it is
+    /// closing, and not while the peer owes reads (write high-water
+    /// backpressure). Also the connection's `POLLIN` interest.
+    fn reading(&self) -> bool {
+        !self.close_after_flush && self.write_buf.len() < WRITE_HIGH_WATER
+    }
 }
 
 /// Serves `listener` with an event-driven readiness loop across
@@ -2027,13 +2084,15 @@ impl Conn {
 /// two analysts can connect separately and collaborate in one named
 /// session.
 ///
-/// Sockets are non-blocking throughout; readiness is emulated with a
-/// short sleep when a full tick makes no progress (a std-only poll
-/// shim — no external event API, same observable semantics). Once
-/// [`Command::Shutdown`] runs, each shard flushes what it owes,
-/// closes its connections, answers any backlog with one `overloaded`
-/// line each, and exits. Joining the returned handles is therefore a
-/// complete graceful shutdown.
+/// Sockets are non-blocking throughout. When a full tick makes no
+/// progress the shard blocks in `poll(2)` until one of its sockets,
+/// the shared listener or its waker is ready, or until the nearest
+/// io-timeout deadline. The waker is how other threads reach a blocked
+/// shard: a subscription push queued for one of its connections, or a
+/// drain. Once [`Command::Shutdown`] runs, each shard flushes what it
+/// owes, closes its connections, answers any backlog with one
+/// `overloaded` line each, and exits. Joining the returned handles is
+/// therefore a complete graceful shutdown.
 pub fn serve_tcp(
     listener: TcpListener,
     workers: usize,
@@ -2045,19 +2104,23 @@ pub fn serve_tcp(
         .map(|i| {
             let listener = Arc::clone(&listener);
             let server = Arc::clone(&server);
+            let waker = Arc::new(Waker::new().expect("create shard waker"));
+            server.wakers.lock().unwrap_or_else(|p| p.into_inner()).push(Arc::clone(&waker));
             thread::Builder::new()
                 .name(format!("viva-server-shard-{i}"))
-                .spawn(move || shard_loop(i as u16, &listener, &server))
+                .spawn(move || shard_loop(i as u16, &listener, &server, &waker))
                 .expect("spawn shard thread")
         })
         .collect()
 }
 
-/// One shard's readiness loop: accept, flush, read, execute — until
-/// the listener dies or a drain completes.
-fn shard_loop(shard: u16, listener: &TcpListener, server: &Server) {
+/// One shard's readiness loop: accept, flush, read, execute — and
+/// wait for readiness when none of that made progress — until the
+/// listener dies or a drain completes.
+fn shard_loop(shard: u16, listener: &TcpListener, server: &Server, waker: &Arc<Waker>) {
     // Root spans of commands this worker executes carry its index.
     SHARD.set(shard);
+    waker.claim();
     let io_timeout = server
         .registry()
         .limits()
@@ -2065,6 +2128,7 @@ fn shard_loop(shard: u16, listener: &TcpListener, server: &Server) {
         .map(|ms| Duration::from_millis(ms.max(1)));
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; 64 << 10];
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         if server.is_draining() {
             drain_shard(server, listener, &mut conns);
@@ -2075,13 +2139,18 @@ fn shard_loop(shard: u16, listener: &TcpListener, server: &Server) {
             match listener.accept() {
                 Ok((stream, _addr)) => {
                     if stream.set_nonblocking(true).is_ok() {
-                        conns.push(Conn::new(stream, server.open_conn()));
+                        conns.push(Conn::new(stream, server.open_conn_on(Some(waker))));
                         progressed = true;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 // The listener is gone; drop the shard's connections.
-                Err(_) => return,
+                Err(_) => {
+                    for conn in conns {
+                        server.close_conn(conn.id);
+                    }
+                    return;
+                }
             }
         }
         let mut idx = 0;
@@ -2102,10 +2171,52 @@ fn shard_loop(shard: u16, listener: &TcpListener, server: &Server) {
             }
         }
         if !progressed {
-            // The poll shim: nothing readable, writable, or acceptable
-            // this tick — yield the CPU briefly instead of spinning.
-            thread::sleep(Duration::from_millis(1));
+            wait_ready(listener, waker, &conns, io_timeout, &mut fds);
         }
+    }
+}
+
+/// Blocks the shard until it has work: a connection is ready for what
+/// [`pump_conn`] does with it next, the listener has a pending
+/// connection, the waker fired, or the nearest io-timeout deadline
+/// passed. Each interest matches the next tick exactly — `POLLIN` only
+/// on connections it reads, `POLLOUT` only where responses are owed —
+/// so a wake-up always finds work (or an expired deadline) instead of
+/// spinning.
+fn wait_ready(
+    listener: &TcpListener,
+    waker: &Waker,
+    conns: &[Conn],
+    io_timeout: Option<Duration>,
+    fds: &mut Vec<PollFd>,
+) {
+    fds.clear();
+    fds.push(PollFd::new(waker.fd(), POLLIN));
+    fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+    let mut deadline: Option<Instant> = None;
+    for conn in conns {
+        let mut events = 0;
+        if conn.reading() {
+            events |= POLLIN;
+        }
+        if !conn.write_buf.is_empty() {
+            events |= POLLOUT;
+        }
+        fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+        if let Some(t) = io_timeout.filter(|_| !conn.close_after_flush) {
+            let due = conn.last_activity + t;
+            deadline = Some(deadline.map_or(due, |d| d.min(due)));
+        }
+    }
+    let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+    if poll::wait(fds, timeout).is_err() {
+        // A failed wait cannot say what is ready: fall back to a short
+        // idle tick rather than spin.
+        thread::sleep(Duration::from_millis(1));
+        return;
+    }
+    if fds[0].ready() {
+        waker.reset();
     }
 }
 
@@ -2124,7 +2235,11 @@ fn drain_shard(server: &Server, listener: &TcpListener, conns: &mut Vec<Conn>) {
                     conn.write_buf.drain(..n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(1));
+                    let mut fd = [PollFd::new(conn.stream.as_raw_fd(), POLLOUT)];
+                    let left = give_up.saturating_duration_since(Instant::now());
+                    if poll::wait(&mut fd, Some(left)).is_err() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => break,
@@ -2156,7 +2271,7 @@ fn pump_conn(
     // Read until the socket runs dry — unless the peer owes us reads
     // (write high-water backpressure) or is already closing.
     let mut eof = false;
-    if !conn.close_after_flush && conn.write_buf.len() < WRITE_HIGH_WATER {
+    if conn.reading() {
         loop {
             match conn.stream.read(scratch) {
                 Ok(0) => {
@@ -2189,7 +2304,7 @@ fn pump_conn(
     // below the high-water mark: a subscriber that stops reading keeps
     // its pushes in the bounded queue, overflows it, and is shed with
     // `lagging`. Memory stays bounded and appenders never block.
-    if !conn.close_after_flush && conn.write_buf.len() < WRITE_HIGH_WATER {
+    if conn.reading() {
         for push in server.take_pushes(conn.id) {
             conn.write_buf.extend_from_slice(push.as_bytes());
             conn.write_buf.push(b'\n');
@@ -2789,6 +2904,52 @@ mod tests {
             Response::Error { kind: ErrorKind::BadCheckpoint, .. }
         ));
         assert!(fresh.registry().get("b").is_none());
+    }
+
+    /// Overwriting a stored checkpoint goes through a temporary file
+    /// and a rename: afterwards the directory holds exactly the one
+    /// complete file, carrying the newer state, and it restores.
+    #[test]
+    fn persisted_checkpoint_is_replaced_whole() {
+        let dir = tmpdir("ckpt_atomic");
+        let s = Server::new(ServerLimits {
+            checkpoint_dir: Some(dir.clone()),
+            ..ServerLimits::default()
+        });
+        load(&s, "a");
+        let capture = |srv: &Server| {
+            let slot = srv.registry().get("a").expect("session a");
+            let session = slot.lock();
+            capture_session("a", &session)
+        };
+        let first = capture(&s);
+        assert!(s.persist_checkpoint(&first));
+        s.execute(Command::SetTimeSlice { session: "a".into(), start: 2.0, end: 6.0 });
+        let second = capture(&s);
+        assert_ne!(first.encode(), second.encode(), "the overwrite carries new state");
+        assert!(s.persist_checkpoint(&second));
+
+        let file = checkpoint_file_name("a").expect("plain name");
+        let mut entries: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        entries.sort();
+        assert_eq!(entries, vec![file.clone()], "one file, no temporary leftovers");
+        let stored = fs::read_to_string(dir.join(&file)).unwrap();
+        assert_eq!(stored, format!("{}\n", second.encode()));
+
+        let fresh = Server::new(ServerLimits {
+            checkpoint_dir: Some(dir.clone()),
+            ..ServerLimits::default()
+        });
+        match fresh.execute(Command::Restore { session: "a".into(), state: None }) {
+            Response::Restored { revision, .. } => {
+                assert_eq!(revision, s.registry().get("a").unwrap().lock().analysis.revision());
+            }
+            other => panic!("{other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -34,10 +34,12 @@
 //! trading a bounded window of acknowledged-but-not-yet-durable records
 //! for append throughput.
 
+use std::ffi::OsString;
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use viva_obs::Recorder;
 
@@ -383,6 +385,48 @@ pub struct AppendOutcome {
     pub synced: bool,
 }
 
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
+/// Fsyncs directory `dir`, which makes creating, renaming or removing
+/// an entry in it durable. A file's own fsync does not cover its name.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// Replaces the file at `path` with `bytes` so that a crash at any
+/// point leaves either the old file or the new one, whole: the bytes
+/// go to a temporary file in the same directory, which is fsynced,
+/// renamed over `path`, and then the directory is fsynced. On failure
+/// the temporary file is removed and `path` is untouched.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    // Unique per call, so concurrent writers of one path never share a
+    // temporary file.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = parent_dir(path);
+    let Some(name) = path.file_name() else {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "path names no file"));
+    };
+    let mut tmp_name = OsString::from(".");
+    tmp_name.push(name);
+    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+    tmp_name.push(format!(".{}.{unique}.tmp", std::process::id()));
+    let tmp = dir.join(tmp_name);
+    let written = File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| fs::rename(&tmp, path));
+    if let Err(e) = written {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
+    }
+    sync_dir(dir)
+}
+
 /// Appends checksummed records to a journal file.
 #[derive(Debug)]
 pub struct JournalWriter {
@@ -398,7 +442,8 @@ pub struct JournalWriter {
 
 impl JournalWriter {
     /// Creates a fresh journal at `path` (truncating any existing
-    /// file), writes and fsyncs the header.
+    /// file), writes and fsyncs the header, then fsyncs the directory
+    /// so the journal's name survives a crash along with its records.
     pub fn create(
         path: &Path,
         id: &str,
@@ -411,6 +456,7 @@ impl JournalWriter {
             .open(path)?;
         file.write_all(header_line(id).as_bytes())?;
         file.sync_data()?;
+        sync_dir(parent_dir(path))?;
         Ok(JournalWriter {
             file,
             path: path.to_path_buf(),
@@ -545,6 +591,27 @@ mod tests {
         ));
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temporaries() {
+        let dir = tmpdir("atomic");
+        let path = dir.join("state.json");
+        write_atomic(&path, b"old\n").unwrap();
+        write_atomic(&path, b"new, longer\n").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new, longer\n");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("state.json")]);
+        // A target that cannot be renamed over (a directory) fails and
+        // cleans its temporary file up.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir_all(blocked.join("inner")).unwrap();
+        assert!(write_atomic(&blocked, b"x").is_err());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub use container::{Container, ContainerId, ContainerKind, ContainerTree};
 pub use error::TraceError;
 pub use event::Event;
 pub use journal::{
-    AppendOutcome, JournalConfig, JournalError, JournalRecord, JournalWriter, RecoveredJournal,
+    write_atomic, AppendOutcome, JournalConfig, JournalError, JournalRecord, JournalWriter,
+    RecoveredJournal,
 };
 pub use live::{LiveLine, SamplePrior};
 pub use loader::{

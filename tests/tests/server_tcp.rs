@@ -13,14 +13,18 @@
 //!    readiness loop.
 //! 4. **Drain** — `shutdown` over TCP finishes the in-flight
 //!    transcript, then every shard worker exits and can be joined.
+//! 5. **Wake-ups** — a shard blocked in its readiness wait is woken for
+//!    a push queued by another shard and for a drain started on
+//!    another shard, and its io-timeout deadline fires on time with no
+//!    traffic at all.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use viva_server::protocol::Command;
-use viva_server::{serve_tcp, Server, ServerLimits};
+use viva_server::{serve_tcp, Push, Response, Server, ServerLimits};
 
 fn data(file: &str) -> String {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/data");
@@ -207,4 +211,126 @@ fn drain_over_tcp_joins_all_shard_workers() {
     for h in handles {
         h.join().expect("shard worker exits after drain");
     }
+}
+
+/// Reads one line with a 2 s read timeout: a wake-up that never comes
+/// shows as a timeout here rather than a hung test.
+fn read_line_within_2s(reader: &mut BufReader<TcpStream>, what: &str) -> String {
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(n) if n > 0 => line,
+        other => panic!("{what}: no line within 2 s ({other:?})"),
+    }
+}
+
+/// Pushes cross shards: with two shards, eight subscribers and one
+/// producer (and no other traffic), some subscriber almost surely sits
+/// on the shard the producer does not, blocked in its wait. Each append
+/// must reach every subscriber promptly — the producer's shard wakes
+/// the other one.
+#[test]
+fn pushes_wake_subscribers_on_the_other_shard() {
+    let (_server, addr, _handles) = start(ServerLimits::default(), 2);
+    let send = |writer: &mut TcpStream, cmd: Command| {
+        writer
+            .write_all(format!("{}\n", cmd.encode()).as_bytes())
+            .expect("send command");
+    };
+    let append = |seq: u64, text: String| Command::Append {
+        session: "live".into(),
+        seq,
+        text,
+    };
+
+    let mut producer = connect(addr);
+    let mut acks = BufReader::new(producer.try_clone().expect("clone"));
+    let opener = "span,0.0,100.0\ncontainer,1,0,host,h0\nmetric,0,MFlop/s,power\nvar,1.0,1,0,1.0";
+    send(&mut producer, append(1, opener.into()));
+    let ack = read_line_within_2s(&mut acks, "opener ack");
+    assert!(
+        matches!(Response::decode(ack.trim_end()), Ok(Response::Appended { seq: 1, .. })),
+        "{ack}"
+    );
+
+    let mut subscribers: Vec<BufReader<TcpStream>> = (0..8)
+        .map(|i| {
+            let mut stream = connect(addr);
+            send(&mut stream, Command::Subscribe { session: "live".into(), from_seq: None });
+            let mut reader = BufReader::new(stream);
+            let answer = read_line_within_2s(&mut reader, &format!("subscriber {i} answer"));
+            assert!(answer.contains("\"ok\":\"subscribed\""), "{answer}");
+            let snapshot = read_line_within_2s(&mut reader, &format!("subscriber {i} snapshot"));
+            assert!(
+                matches!(Push::decode(snapshot.trim_end()), Ok(Push::Delta { seq: 1, .. })),
+                "{snapshot}"
+            );
+            reader
+        })
+        .collect();
+
+    for seq in 2..=20u64 {
+        send(&mut producer, append(seq, format!("var,{seq}.0,1,0,{seq}.0")));
+        let ack = read_line_within_2s(&mut acks, &format!("ack {seq}"));
+        assert!(ack.contains("\"ok\":\"appended\""), "{ack}");
+        for (i, sub) in subscribers.iter_mut().enumerate() {
+            let line = read_line_within_2s(sub, &format!("subscriber {i}, delta {seq}"));
+            match Push::decode(line.trim_end()) {
+                Ok(Push::Delta { seq: got, .. }) => assert_eq!(got, seq, "subscriber {i}"),
+                other => panic!("subscriber {i} expected delta {seq}: {other:?}"),
+            }
+        }
+    }
+}
+
+/// With no traffic at all, a shard's wait ends at its connection's
+/// io-timeout deadline: an idle peer is dropped within 1 s of a 50 ms
+/// timeout.
+#[test]
+fn idle_connection_is_dropped_at_its_deadline() {
+    let (_server, addr, _handles) = start(
+        ServerLimits { io_timeout_ms: Some(50), ..ServerLimits::default() },
+        1,
+    );
+    let idle = connect(addr);
+    let t0 = Instant::now();
+    idle.set_read_timeout(Some(Duration::from_secs(2))).expect("read timeout");
+    let mut buf = [0u8; 16];
+    let n = (&idle).read(&mut buf).expect("EOF, not a read timeout");
+    assert_eq!(n, 0, "the server closes without writing");
+    let waited = t0.elapsed();
+    assert!(waited < Duration::from_secs(1), "dropped after {waited:?}");
+}
+
+/// A drain reaches shards that sit blocked in their wait: with four
+/// shards idle for a while, `shutdown` on one connection still ends
+/// every worker promptly.
+#[test]
+fn drain_wakes_idle_shards() {
+    let (_server, addr, handles) = start(ServerLimits::default(), 4);
+    let mut stream = connect(addr);
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream
+        .write_all(format!("{}\n", Command::Ping.encode()).as_bytes())
+        .expect("write ping");
+    assert!(read_line_within_2s(&mut reader, "pong").contains("pong"));
+    // Let every shard finish its ticks and block.
+    std::thread::sleep(Duration::from_millis(200));
+    stream
+        .write_all(format!("{}\n", Command::Shutdown.encode()).as_bytes())
+        .expect("write shutdown");
+    assert!(read_line_within_2s(&mut reader, "shutdown ack").contains("shutdown"));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for h in handles {
+            h.join().expect("shard worker exits after drain");
+        }
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("every shard exits within 5 s of the drain");
 }
