@@ -76,6 +76,16 @@ cargo run --quiet --release -p viva-server --bin viva-server -- --stdio \
   < tests/data/server_session.script > /tmp/viva_server_smoke_2.ndjson
 diff -u tests/data/server_session.golden /tmp/viva_server_smoke_1.ndjson
 diff -u /tmp/viva_server_smoke_1.ndjson /tmp/viva_server_smoke_2.ndjson
+# The live-stream script pins push placement: each delta push follows
+# the response that caused it. Both runs must match the golden. TCP
+# replays of it, line at a time and pipelined, run in
+# tests/tests/server_tcp.rs (viva-server-client reads one line per
+# request, so it cannot check pushes).
+for run in 1 2; do
+  target/release/viva-server --stdio \
+    < tests/data/server_stream.script > "/tmp/viva_stream_golden_$run.ndjson"
+  diff -u tests/data/server_stream.golden "/tmp/viva_stream_golden_$run.ndjson"
+done
 
 echo "==> server-smoke: TCP replay over the event-driven transport"
 # The same script over a real socket against the sharded readiness loop

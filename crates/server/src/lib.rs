@@ -25,11 +25,13 @@
 //! * [`cache`] — the per-session frame cache keyed on
 //!   `(view revision, viewport, theme)`; slider-only changes re-render
 //!   without re-aggregating, repeat renders are free.
-//! * [`server`] — [`Server`]: the transport-agnostic
-//!   request loop, served over stdio (single analyst) or a
-//!   `TcpListener` by sharded readiness loops that block in `poll(2)` — behind
-//!   admission control, per-command deadlines, and a graceful drain
-//!   (DESIGN.md §14).
+//! * [`server`] — [`Server`]: the transport-agnostic request loop and
+//!   the push queues of `subscribe` — behind admission control,
+//!   per-command deadlines, and a graceful drain (DESIGN.md §14).
+//! * [`transport`] — [`FrameConn`], the one frame core (torn frames,
+//!   oversize fragments, push placement, drain-close), driven over
+//!   stdio by [`Server::serve`] and over a `TcpListener` by
+//!   [`serve_tcp`]'s sharded readiness loops that block in `poll(2)`.
 //! * [`checkpoint`] — [`SessionCheckpoint`]:
 //!   deterministic, versioned snapshots of per-session view state;
 //!   a restored session renders byte-identically to the live one.
@@ -65,6 +67,7 @@ pub mod registry;
 pub mod selftrace;
 pub mod server;
 pub mod store;
+pub mod transport;
 
 pub use cache::{FrameCache, FrameKey};
 pub use checkpoint::{
@@ -78,5 +81,6 @@ pub use protocol::{
 pub use registry::{
     DeadlineBudgets, LiveStream, ServerLimits, ServerSession, SessionRegistry, SessionSlot,
 };
-pub use server::{serve_tcp, Server};
+pub use server::Server;
 pub use store::{content_hash, hash_token, StoredTrace, TraceEntry, TraceStore};
+pub use transport::{serve_tcp, FrameConn};

@@ -1,20 +1,10 @@
-//! The serving loop: NDJSON over stdio or TCP.
+//! The request loop: NDJSON commands in, responses and pushes out.
 //!
 //! A [`Server`] owns a [`SessionRegistry`] and turns request lines
-//! into response lines — one in, one out, in order. The same
-//! [`Server::handle_line`] drives every transport:
-//!
-//! * [`Server::serve`] pumps any `BufRead`/`Write` pair — the stdio
-//!   single-analyst mode;
-//! * [`serve_tcp`] runs an **event-driven readiness loop** over
-//!   non-blocking sockets: `workers` shard threads each own a set of
-//!   connections with per-connection read/write buffers, so one shard
-//!   multiplexes hundreds of connections and one syscall round drains
-//!   every complete NDJSON frame a pipelining client has batched. An
-//!   idle shard blocks in `poll(2)` on its sockets, the listener and a
-//!   per-shard waker (no external dependencies — one `extern "C"`
-//!   call into the libc `std` links), so a request is served the
-//!   moment it arrives and an idle server uses no CPU.
+//! into response lines — one in, one out, in order — through
+//! [`Server::handle_line`]. It also keeps the per-connection push
+//! queues that `subscribe` delivers through. The transports that drive
+//! it over stdio and TCP live in [`crate::transport`].
 //!
 //! Responses are deterministic: a fresh server given the same command
 //! script produces byte-identical output, including the `cached`
@@ -48,12 +38,8 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, BufRead, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use viva::{AnalysisSession, Camera, GraphView, SessionError, Theme, ViewNode, Viewport};
@@ -66,7 +52,7 @@ use viva_trace::{
 };
 
 use crate::checkpoint::{checkpoint_file_name, SessionCheckpoint};
-use crate::poll::{self, PollFd, Waker, POLLIN, POLLOUT};
+use crate::poll::Waker;
 use crate::protocol::{Command, DeltaNode, ErrorKind, Push, Response, SessionStats, StatsBlock};
 use crate::registry::{LiveStream, ServerLimits, ServerSession, SessionRegistry, SessionSlot};
 use crate::store::{content_hash, hash_token, StoredTrace, TraceStore};
@@ -108,7 +94,7 @@ pub struct Server {
     queued_pushes: AtomicUsize,
     /// The waker of every TCP shard serving this server: a drain must
     /// reach shards blocked in their readiness wait.
-    wakers: Mutex<Vec<Arc<Waker>>>,
+    pub(crate) wakers: Mutex<Vec<Arc<Waker>>>,
 }
 
 /// One registered subscriber of a live session.
@@ -128,8 +114,8 @@ struct SubEntry {
 #[derive(Debug, Default)]
 struct ConnTable {
     next_id: u64,
-    /// Encoded push lines queued per connection, drained by the
-    /// transport between request/response pairs.
+    /// Encoded push lines queued per connection, drained by its
+    /// [`FrameConn`](crate::FrameConn) after each response.
     queues: HashMap<u64, Vec<String>>,
     /// The waker of the TCP shard that owns each connection, woken when
     /// another thread queues a push for it. Other transports drain
@@ -318,7 +304,7 @@ thread_local! {
     /// The shard worker index of the current thread: stamped onto the
     /// root span of every command the thread executes. Stdio serving,
     /// tests, and direct `execute` calls run as shard 0.
-    static SHARD: std::cell::Cell<u16> = const { std::cell::Cell::new(0) };
+    pub(crate) static SHARD: std::cell::Cell<u16> = const { std::cell::Cell::new(0) };
 }
 
 fn current_shard() -> u16 {
@@ -388,7 +374,7 @@ impl Server {
     }
 
     /// Bumps a server-scope counter when metrics are on.
-    fn note(&self, counter: &str) {
+    pub(crate) fn note(&self, counter: &str) {
         if self.recorder.is_enabled() {
             self.recorder.counter(counter).inc();
         }
@@ -396,7 +382,7 @@ impl Server {
 
     /// The typed shed response: `overloaded` + back-off hint. Counted
     /// under `server.shed`; the work was never started.
-    fn shed(&self, message: impl Into<String>) -> Response {
+    pub(crate) fn shed(&self, message: impl Into<String>) -> Response {
         self.note("server.shed");
         err(
             ErrorKind::Overloaded {
@@ -484,11 +470,11 @@ impl Server {
         self.recorder.gauge("server.subscriber_queue").set(depth as f64);
     }
 
-    /// Registers a transport connection for push delivery, returning
-    /// its id. Every transport that can carry pushes calls this once
-    /// per connection, pairs request lines with it through
-    /// [`Server::handle_line_on`], drains [`Server::take_pushes`], and
-    /// calls [`Server::close_conn`] when the connection ends.
+    /// Registers a connection for push delivery, returning its id.
+    /// [`FrameConn`](crate::FrameConn) does this for both transports;
+    /// an embedder that drives [`Server::handle_line_on`] itself drains
+    /// [`Server::take_pushes`] and calls [`Server::close_conn`] when the
+    /// connection ends.
     pub fn open_conn(&self) -> u64 {
         self.open_conn_on(None)
     }
@@ -496,7 +482,7 @@ impl Server {
     /// [`open_conn`](Self::open_conn) for a connection whose transport
     /// blocks in a readiness wait: `waker` interrupts it when a push
     /// is queued from another thread.
-    fn open_conn_on(&self, waker: Option<&Arc<Waker>>) -> u64 {
+    pub(crate) fn open_conn_on(&self, waker: Option<&Arc<Waker>>) -> u64 {
         let mut tbl = self.conns();
         tbl.next_id += 1;
         let id = tbl.next_id;
@@ -521,9 +507,10 @@ impl Server {
     }
 
     /// Drains the push lines owed to `conn` (encoded, no trailing
-    /// newline). Transports write them after the response to the
-    /// command currently in flight — pushes interleave *between*
-    /// request/response pairs, never inside one.
+    /// newline). [`FrameConn`](crate::FrameConn) owes them right after
+    /// each response — pushes interleave *between* request/response
+    /// pairs, never inside one. Costs one atomic load while no push is
+    /// queued anywhere.
     pub fn take_pushes(&self, conn: u64) -> Vec<String> {
         if self.queued_pushes.load(Ordering::Relaxed) == 0 {
             return Vec::new();
@@ -637,6 +624,13 @@ impl Server {
         }
     }
 
+    /// The `protocol` error for a request line of `len` bytes, over
+    /// [`ServerLimits::max_line_bytes`].
+    pub(crate) fn line_too_long(&self, len: usize) -> Response {
+        let max = self.registry.limits().max_line_bytes;
+        err(ErrorKind::Protocol, format!("request line of {len} bytes exceeds the {max}-byte limit"))
+    }
+
     /// Handles one raw request line. Returns `None` for blank lines
     /// (they produce no response), otherwise exactly one encoded
     /// response line (without trailing newline). Connection-free:
@@ -655,17 +649,7 @@ impl Server {
             return None;
         }
         if trimmed.len() > self.registry.limits().max_line_bytes {
-            return Some(
-                err(
-                    ErrorKind::Protocol,
-                    format!(
-                        "request line of {} bytes exceeds the {}-byte limit",
-                        trimmed.len(),
-                        self.registry.limits().max_line_bytes
-                    ),
-                )
-                .encode(),
-            );
+            return Some(self.line_too_long(trimmed.len()).encode());
         }
         // Decode is timed only when tracing is on: the duration becomes
         // the root span's back-dated `frame.decode` child (the root
@@ -1897,81 +1881,6 @@ impl Server {
             | Command::Shutdown => unreachable!("handled by dispatch"),
         }
     }
-
-    /// Pumps `reader` to `writer`: one response line per request line,
-    /// until EOF. I/O errors end the loop (the connection is gone);
-    /// content never does. Two hardening behaviours:
-    ///
-    /// * a **torn frame** — bytes that end without a newline (a client
-    ///   that died mid-command, or trickled half a frame until the
-    ///   read timeout) — is *never* executed; the connection ends and
-    ///   the fragment is dropped (`server.torn_frames`);
-    /// * once a **drain** starts, the loop finishes the in-flight
-    ///   command, writes its response, and ends the connection.
-    pub fn serve<R: BufRead, W: Write>(&self, reader: R, writer: W) -> io::Result<()> {
-        let conn = self.open_conn();
-        let result = self.serve_conn(conn, reader, writer);
-        self.close_conn(conn);
-        result
-    }
-
-    /// [`serve`](Self::serve) on an already-registered connection —
-    /// the caller owns `open_conn`/`close_conn`. Queued pushes
-    /// (subscription deltas, lagging notices) drain after each
-    /// response, so within one connection a push never lands between a
-    /// request and its response.
-    fn serve_conn<R: BufRead, W: Write>(
-        &self,
-        conn: u64,
-        mut reader: R,
-        mut writer: W,
-    ) -> io::Result<()> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = match reader.read_line(&mut line) {
-                Ok(n) => n,
-                Err(e) => {
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
-                        // The read timeout fired: a slow-loris peer (or
-                        // a stalled one) loses its connection, not a
-                        // worker thread.
-                        self.note("server.io_timeouts");
-                    }
-                    return Err(e);
-                }
-            };
-            if n == 0 {
-                return Ok(()); // clean EOF between frames
-            }
-            if !line.ends_with('\n') {
-                self.note("server.torn_frames");
-                if self.recorder.is_enabled() {
-                    self.recorder.event("server.torn_frame", "dropped");
-                }
-                return Ok(());
-            }
-            if let Some(response) = self.handle_line_on(Some(conn), &line) {
-                writer.write_all(response.as_bytes())?;
-                writer.write_all(b"\n")?;
-            }
-            for push in self.take_pushes(conn) {
-                writer.write_all(push.as_bytes())?;
-                writer.write_all(b"\n")?;
-            }
-            writer.flush()?;
-            if self.is_draining() {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Serves a single analyst over stdin/stdout until EOF.
-    pub fn serve_stdio(&self) -> io::Result<()> {
-        let stdin = io::stdin();
-        let stdout = io::stdout();
-        self.serve(stdin.lock(), stdout.lock())
-    }
 }
 
 /// The session name a command addresses, if any.
@@ -2021,403 +1930,13 @@ fn drain_exempt(cmd: &Command) -> bool {
     )
 }
 
-/// Connections one shard accepts per loop tick. Bounded so draining a
-/// deep accept backlog cannot starve the shard's live connections.
-const ACCEPT_BURST: usize = 64;
-
-/// Bytes a connection's write buffer may hold before the shard stops
-/// reading new requests from it — natural pipelining backpressure. A
-/// peer that never reads its responses eventually trips the io
-/// timeout instead of growing the buffer without bound.
-const WRITE_HIGH_WATER: usize = 8 << 20;
-
-/// One client connection owned by a shard: the non-blocking socket
-/// plus its buffers and activity clock. Requests accumulate in
-/// `read_buf` until a newline completes a frame; responses accumulate
-/// in `write_buf` and drain as the socket accepts them — neither side
-/// ever blocks the shard.
-struct Conn {
-    /// The server-side connection id ([`Server::open_conn`]) — the
-    /// address subscription pushes are queued under.
-    id: u64,
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    /// How far `read_buf` has been scanned without finding a newline,
-    /// so a large frame arriving in many chunks is scanned once.
-    scan_from: usize,
-    /// Last byte received (io-timeout bookkeeping).
-    last_activity: Instant,
-    /// Flush what we owe, then close: EOF seen, protocol violation,
-    /// or drain.
-    close_after_flush: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, id: u64) -> Conn {
-        Conn {
-            id,
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            scan_from: 0,
-            last_activity: Instant::now(),
-            close_after_flush: false,
-        }
-    }
-
-    /// Whether the shard reads from this connection: not once it is
-    /// closing, and not while the peer owes reads (write high-water
-    /// backpressure). Also the connection's `POLLIN` interest.
-    fn reading(&self) -> bool {
-        !self.close_after_flush && self.write_buf.len() < WRITE_HIGH_WATER
-    }
-}
-
-/// Serves `listener` with an event-driven readiness loop across
-/// `workers` shard threads. Each shard owns a set of connections and
-/// multiplexes all of them: per tick it accepts a bounded burst of new
-/// sockets, flushes pending responses, drains readable sockets, and
-/// executes **every complete NDJSON frame** the reads produced — so a
-/// pipelining client gets many commands answered per syscall round.
-/// All shards share the server (and thus its sessions and traces):
-/// two analysts can connect separately and collaborate in one named
-/// session.
-///
-/// Sockets are non-blocking throughout. When a full tick makes no
-/// progress the shard blocks in `poll(2)` until one of its sockets,
-/// the shared listener or its waker is ready, or until the nearest
-/// io-timeout deadline. The waker is how other threads reach a blocked
-/// shard: a subscription push queued for one of its connections, or a
-/// drain. Once [`Command::Shutdown`] runs, each shard flushes what it
-/// owes, closes its connections, answers any backlog with one
-/// `overloaded` line each, and exits. Joining the returned handles is
-/// therefore a complete graceful shutdown.
-pub fn serve_tcp(
-    listener: TcpListener,
-    workers: usize,
-    server: Arc<Server>,
-) -> Vec<JoinHandle<()>> {
-    let _ = listener.set_nonblocking(true);
-    let listener = Arc::new(listener);
-    (0..workers.max(1))
-        .map(|i| {
-            let listener = Arc::clone(&listener);
-            let server = Arc::clone(&server);
-            let waker = Arc::new(Waker::new().expect("create shard waker"));
-            server.wakers.lock().unwrap_or_else(|p| p.into_inner()).push(Arc::clone(&waker));
-            thread::Builder::new()
-                .name(format!("viva-server-shard-{i}"))
-                .spawn(move || shard_loop(i as u16, &listener, &server, &waker))
-                .expect("spawn shard thread")
-        })
-        .collect()
-}
-
-/// One shard's readiness loop: accept, flush, read, execute — and
-/// wait for readiness when none of that made progress — until the
-/// listener dies or a drain completes.
-fn shard_loop(shard: u16, listener: &TcpListener, server: &Server, waker: &Arc<Waker>) {
-    // Root spans of commands this worker executes carry its index.
-    SHARD.set(shard);
-    waker.claim();
-    let io_timeout = server
-        .registry()
-        .limits()
-        .io_timeout_ms
-        .map(|ms| Duration::from_millis(ms.max(1)));
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = vec![0u8; 64 << 10];
-    let mut fds: Vec<PollFd> = Vec::new();
-    loop {
-        if server.is_draining() {
-            drain_shard(server, listener, &mut conns);
-            return;
-        }
-        let mut progressed = false;
-        for _ in 0..ACCEPT_BURST {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        conns.push(Conn::new(stream, server.open_conn_on(Some(waker))));
-                        progressed = true;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                // The listener is gone; drop the shard's connections.
-                Err(_) => {
-                    for conn in conns {
-                        server.close_conn(conn.id);
-                    }
-                    return;
-                }
-            }
-        }
-        let mut idx = 0;
-        while idx < conns.len() {
-            match pump_conn(server, &mut conns[idx], &mut scratch, io_timeout) {
-                (true, worked) => {
-                    progressed |= worked;
-                    idx += 1;
-                }
-                (false, worked) => {
-                    progressed |= worked;
-                    server.close_conn(conns[idx].id);
-                    conns.swap_remove(idx);
-                }
-            }
-            if server.is_draining() {
-                break; // handled at the top of the loop
-            }
-        }
-        if !progressed {
-            wait_ready(listener, waker, &conns, io_timeout, &mut fds);
-        }
-    }
-}
-
-/// Blocks the shard until it has work: a connection is ready for what
-/// [`pump_conn`] does with it next, the listener has a pending
-/// connection, the waker fired, or the nearest io-timeout deadline
-/// passed. Each interest matches the next tick exactly — `POLLIN` only
-/// on connections it reads, `POLLOUT` only where responses are owed —
-/// so a wake-up always finds work (or an expired deadline) instead of
-/// spinning.
-fn wait_ready(
-    listener: &TcpListener,
-    waker: &Waker,
-    conns: &[Conn],
-    io_timeout: Option<Duration>,
-    fds: &mut Vec<PollFd>,
-) {
-    fds.clear();
-    fds.push(PollFd::new(waker.fd(), POLLIN));
-    fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-    let mut deadline: Option<Instant> = None;
-    for conn in conns {
-        let mut events = 0;
-        if conn.reading() {
-            events |= POLLIN;
-        }
-        if !conn.write_buf.is_empty() {
-            events |= POLLOUT;
-        }
-        fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-        if let Some(t) = io_timeout.filter(|_| !conn.close_after_flush) {
-            let due = conn.last_activity + t;
-            deadline = Some(deadline.map_or(due, |d| d.min(due)));
-        }
-    }
-    let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-    if poll::wait(fds, timeout).is_err() {
-        // A failed wait cannot say what is ready: fall back to a short
-        // idle tick rather than spin.
-        thread::sleep(Duration::from_millis(1));
-        return;
-    }
-    if fds[0].ready() {
-        waker.reset();
-    }
-}
-
-/// Winds one shard down: flush every connection's pending responses
-/// (briefly, best-effort — a peer that stopped reading cannot hold
-/// the drain hostage), then answer the accept backlog with one typed
-/// refusal each.
-fn drain_shard(server: &Server, listener: &TcpListener, conns: &mut Vec<Conn>) {
-    for mut conn in conns.drain(..) {
-        server.close_conn(conn.id);
-        let give_up = Instant::now() + Duration::from_millis(250);
-        while !conn.write_buf.is_empty() && Instant::now() < give_up {
-            match conn.stream.write(&conn.write_buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    conn.write_buf.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let mut fd = [PollFd::new(conn.stream.as_raw_fd(), POLLOUT)];
-                    let left = give_up.saturating_duration_since(Instant::now());
-                    if poll::wait(&mut fd, Some(left)).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-    }
-    while let Ok((mut stream, _addr)) = listener.accept() {
-        // Accepted after the drain began: one typed refusal, then
-        // close — the client's retry logic takes it from here.
-        let resp = server.shed("server is draining; connection refused");
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.write_all(format!("{}\n", resp.encode()).as_bytes());
-    }
-}
-
-/// One tick of one connection. Returns `(keep, made_progress)`.
-fn pump_conn(
-    server: &Server,
-    conn: &mut Conn,
-    scratch: &mut [u8],
-    io_timeout: Option<Duration>,
-) -> (bool, bool) {
-    let mut worked = false;
-    // Flush first: pipelined clients read while we keep working, and
-    // a response from a previous tick must not wait behind new reads.
-    if !flush_write(conn, &mut worked) {
-        return (false, worked);
-    }
-    // Read until the socket runs dry — unless the peer owes us reads
-    // (write high-water backpressure) or is already closing.
-    let mut eof = false;
-    if conn.reading() {
-        loop {
-            match conn.stream.read(scratch) {
-                Ok(0) => {
-                    eof = true;
-                    worked = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&scratch[..n]);
-                    conn.last_activity = Instant::now();
-                    worked = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return (false, true),
-            }
-        }
-    }
-    // Slow-loris defence: a peer that trickles half a frame (or stops
-    // reading its responses) loses the connection, not a shard.
-    if let Some(t) = io_timeout {
-        if !conn.close_after_flush && !eof && conn.last_activity.elapsed() >= t {
-            server.note("server.io_timeouts");
-            return (false, worked);
-        }
-    }
-    worked |= process_frames(server, conn);
-    // Drain queued subscription pushes (deltas published by *other*
-    // connections' appends included) into the write buffer — but only
-    // below the high-water mark: a subscriber that stops reading keeps
-    // its pushes in the bounded queue, overflows it, and is shed with
-    // `lagging`. Memory stays bounded and appenders never block.
-    if conn.reading() {
-        for push in server.take_pushes(conn.id) {
-            conn.write_buf.extend_from_slice(push.as_bytes());
-            conn.write_buf.push(b'\n');
-            worked = true;
-        }
-    }
-    if eof && !conn.close_after_flush {
-        if !conn.read_buf.is_empty() {
-            // Bytes that end without a newline are a torn frame:
-            // never executed, observably dropped.
-            server.note("server.torn_frames");
-            if server.recorder().is_enabled() {
-                server.recorder().event("server.torn_frame", "dropped");
-            }
-            conn.read_buf.clear();
-            conn.scan_from = 0;
-        }
-        conn.close_after_flush = true;
-    }
-    if !flush_write(conn, &mut worked) {
-        return (false, worked);
-    }
-    if conn.close_after_flush && conn.write_buf.is_empty() {
-        return (false, worked);
-    }
-    (true, worked)
-}
-
-/// Executes every complete frame batched in `read_buf` — the
-/// pipelining payoff: one read syscall round, many commands answered.
-fn process_frames(server: &Server, conn: &mut Conn) -> bool {
-    let mut worked = false;
-    let mut consumed = 0usize;
-    let mut rest_has_no_newline = false;
-    loop {
-        let search_from = consumed.max(conn.scan_from);
-        let Some(rel) = conn.read_buf[search_from..].iter().position(|&b| b == b'\n') else {
-            rest_has_no_newline = true;
-            break;
-        };
-        let end = search_from + rel;
-        worked = true;
-        match std::str::from_utf8(&conn.read_buf[consumed..=end]) {
-            Ok(text) => {
-                if let Some(response) = server.handle_line_on(Some(conn.id), text) {
-                    conn.write_buf.extend_from_slice(response.as_bytes());
-                    conn.write_buf.push(b'\n');
-                }
-            }
-            Err(_) => {
-                // Invalid UTF-8 cannot carry a protocol command; end
-                // the connection (the blocking transport's read_line
-                // failed the same way).
-                conn.close_after_flush = true;
-                consumed = end + 1;
-                break;
-            }
-        }
-        consumed = end + 1;
-        if server.is_draining() {
-            // The drain response is owed; the rest of the batch is
-            // refused by closing, exactly like the blocking loop.
-            conn.close_after_flush = true;
-            break;
-        }
-    }
-    if consumed > 0 {
-        conn.read_buf.drain(..consumed);
-    }
-    conn.scan_from = if rest_has_no_newline { conn.read_buf.len() } else { 0 };
-    // An unterminated fragment larger than any legal frame can never
-    // complete: answer the protocol error once and close.
-    let max_line = server.registry().limits().max_line_bytes;
-    if rest_has_no_newline && !conn.close_after_flush && conn.read_buf.len() > max_line {
-        let resp = err(
-            ErrorKind::Protocol,
-            format!(
-                "request line of {} bytes exceeds the {}-byte limit",
-                conn.read_buf.len(),
-                max_line
-            ),
-        );
-        conn.write_buf.extend_from_slice(resp.encode().as_bytes());
-        conn.write_buf.push(b'\n');
-        conn.read_buf.clear();
-        conn.scan_from = 0;
-        conn.close_after_flush = true;
-        worked = true;
-    }
-    worked
-}
-
-/// Drains `write_buf` into the socket as far as it will go without
-/// blocking. Returns `false` when the connection is dead.
-fn flush_write(conn: &mut Conn, worked: &mut bool) -> bool {
-    while !conn.write_buf.is_empty() {
-        match conn.stream.write(&conn.write_buf) {
-            Ok(0) => return false,
-            Ok(n) => {
-                conn.write_buf.drain(..n);
-                *worked = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::serve_tcp;
+    use std::io;
+    use std::net::{TcpListener, TcpStream};
+    use std::thread;
     use viva_trace::{ContainerKind, TraceBuilder};
 
     /// The canonical two-cluster test trace, as CSV for `load_trace`.

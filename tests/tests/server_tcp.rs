@@ -17,6 +17,10 @@
 //!    a push queued by another shard and for a drain started on
 //!    another shard, and its io-timeout deadline fires on time with no
 //!    traffic at all.
+//! 6. **Pushes and progress** — a push follows the response that
+//!    caused it however the requests were batched, and a subscriber
+//!    that only reads its pushes is making progress, so the io timeout
+//!    leaves it alone.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -52,7 +56,8 @@ fn connect(addr: std::net::SocketAddr) -> TcpStream {
 }
 
 /// Replays `script` over one connection, writing `chunk_lines` request
-/// lines per syscall, and returns the response transcript.
+/// lines per syscall, and returns the transcript: each batch's
+/// responses, with any pushes that arrive among them.
 fn replay_tcp(addr: std::net::SocketAddr, script: &str, chunk_lines: usize) -> String {
     let stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
@@ -68,9 +73,14 @@ fn replay_tcp(addr: std::net::SocketAddr, script: &str, chunk_lines: usize) -> S
         // One syscall carries the whole batch; the shard must answer
         // every frame it finds in the read buffer.
         writer.write_all(frame.as_bytes()).expect("write batch");
-        for _ in batch {
+        let mut responses = 0;
+        while responses < batch.len() {
             let mut line = String::new();
             reader.read_line(&mut line).expect("read response");
+            assert!(!line.is_empty(), "connection closed mid-transcript");
+            if !line.starts_with("{\"push\":") {
+                responses += 1;
+            }
             transcript.push_str(&line);
         }
     }
@@ -123,6 +133,66 @@ fn golden_transcript_replays_byte_identically_over_tcp() {
     let (_two, addr, _handles) = start(ServerLimits::default(), 2);
     let pipelined = replay_tcp(addr, &script, usize::MAX);
     assert_eq!(pipelined, golden, "pipelined replay must be byte-identical");
+}
+
+/// The other goldens over TCP, line at a time and fully pipelined. The
+/// stream script puts each delta push right after the response that
+/// caused it, so a pipelined client must see them in the same place as
+/// a client that waits for every answer.
+#[test]
+fn lod_stats_and_stream_goldens_replay_byte_identically_over_tcp() {
+    for name in ["server_lod", "server_stats", "server_stream"] {
+        let script = data(&format!("{name}.script"));
+        let golden = data(&format!("{name}.golden"));
+        for (how, chunk_lines) in [("line at a time", 1), ("pipelined", usize::MAX)] {
+            let (_server, addr, _handles) = start(ServerLimits::default(), 2);
+            assert_eq!(replay_tcp(addr, &script, chunk_lines), golden, "{name} over TCP, {how}");
+        }
+    }
+}
+
+/// A subscriber that never writes after `subscribe` is still making
+/// progress while deltas stream to it: with a 300 ms io timeout and an
+/// append every ~100 ms for ~1.5 s, it keeps its one connection, sees
+/// every delta, and no connection is timed out.
+#[test]
+fn reading_subscriber_is_not_timed_out_while_deltas_stream() {
+    let (_server, addr, _handles) = start(
+        ServerLimits { io_timeout_ms: Some(300), ..ServerLimits::default() },
+        2,
+    );
+    let send = |writer: &mut TcpStream, cmd: Command| {
+        writer
+            .write_all(format!("{}\n", cmd.encode()).as_bytes())
+            .expect("send command");
+    };
+    let append = |seq: u64, text: String| Command::Append { session: "live".into(), seq, text };
+    let mut producer = connect(addr);
+    let mut acks = BufReader::new(producer.try_clone().expect("clone"));
+    let opener = "span,0.0,100.0\ncontainer,1,0,host,h0\nmetric,0,MFlop/s,power\nvar,1.0,1,0,1.0";
+    send(&mut producer, append(1, opener.into()));
+    assert!(read_line_within_2s(&mut acks, "opener ack").contains("\"ok\":\"appended\""));
+
+    let mut subscriber = connect(addr);
+    send(&mut subscriber, Command::Subscribe { session: "live".into(), from_seq: None });
+    let mut pushes = BufReader::new(subscriber);
+    assert!(read_line_within_2s(&mut pushes, "subscribed").contains("\"ok\":\"subscribed\""));
+    assert!(read_line_within_2s(&mut pushes, "snapshot").contains("\"push\":\"delta\""));
+
+    let last = 16u64;
+    for seq in 2..=last {
+        std::thread::sleep(Duration::from_millis(100));
+        send(&mut producer, append(seq, format!("var,{seq}.0,1,0,{seq}.0")));
+        assert!(read_line_within_2s(&mut acks, "ack").contains("\"ok\":\"appended\""));
+    }
+    for seq in 2..=last {
+        let line = read_line_within_2s(&mut pushes, &format!("delta {seq}"));
+        match Push::decode(line.trim_end()) {
+            Ok(Push::Delta { seq: got, .. }) => assert_eq!(got, seq),
+            other => panic!("expected delta {seq}: {other:?}"),
+        }
+    }
+    assert_eq!(counter(&stats_line(addr), "server.io_timeouts"), 0);
 }
 
 /// A connection that dies mid-frame: complete frames before the tear
