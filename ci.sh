@@ -58,9 +58,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> smoke: figure harnesses (--small)"
 cargo run --quiet --release -p viva-bench --bin fig10_faulttolerance -- --small > /dev/null
-# Interactivity smoke: runs the indexed-vs-naive and serial-vs-parallel
-# equivalence assertions (panics on any divergence); timings themselves
-# are only asserted by the full run.
+# Interactivity smoke: asserts that the aggregation index and the naive
+# subtree rescan give equal integrals and means for every frontier node
+# and slice window (panics on any divergence); timings themselves are
+# only asserted by the full run.
 cargo run --quiet --release -p viva-bench --bin fig_interactivity -- --small > /dev/null
 
 echo "==> server-smoke: stdio replay against the golden transcript"

@@ -1111,6 +1111,14 @@ mod proptests {
                         idx.quarantined_under(m, c.id()),
                         trace.quarantined_under(c.id(), m)
                     );
+                    prop_assert_eq!(
+                        idx.quarantined_under_all(c.id()),
+                        trace
+                            .metrics()
+                            .iter()
+                            .map(|mm| trace.quarantined_under(c.id(), mm.id()))
+                            .sum::<u64>()
+                    );
                     match (try_mean_over_group(trace, m, c.id(), slice), idx.try_mean(m, c.id(), slice)) {
                         (None, None) => {}
                         (Some(x), Some(y)) =>

@@ -1,32 +1,30 @@
-//! Interactivity benchmark — incremental aggregation index and
-//! parallel Barnes-Hut against their naive baselines.
+//! Interactivity benchmark — the aggregation index against the naive
+//! slice rescan, and the Barnes-Hut relax step.
 //!
 //! The paper's central interaction loop is: drag the time-slice cursor,
 //! watch every visible node resize/refill instantly (§3.2.1). This
 //! harness measures that loop on a deep synthetic trace (sites →
 //! clusters → hosts, ≥ 50k timeline events in full mode):
 //!
-//! 1. **slice-change latency** — `set_time_slice` + `view()` with the
-//!    aggregation index versus the naive full-rescan path
-//!    (`SessionBuilder::without_index`), over a sweep of sliding
-//!    windows;
-//! 2. **relax latency** — layout iterations with the repulsion pass
-//!    forced serial versus forced to 4 threads;
-//! 3. **equivalence** — views must compare equal and SVG output must be
-//!    byte-identical across indexed/naive and serial/parallel, every
-//!    run.
+//! 1. **slice-change latency** — over a sweep of sliding windows, the
+//!    Equation 1 queries a view makes for every node of the site-level
+//!    frontier (`integrate` and `try_mean` of each mapped metric),
+//!    through the [`AggIndex`] versus the naive subtree rescan
+//!    (`integrate_group` and `try_mean_over_group`). Both must give
+//!    equal values, every run;
+//! 2. **relax latency** — layout iterations of the host-level session,
+//!    on the threads the layout engine plans for its node count.
 //!
 //! Full mode asserts the ≥ 5× index speedup and writes
 //! `BENCH_interactivity.json`; `--small` is a CI smoke mode that keeps
-//! every equivalence assertion but skips the timing claim (timings on a
-//! loaded CI box are noise) and leaves the committed JSON alone.
+//! the value-equality assertion but skips the timing claim (timings on
+//! a loaded CI box are noise) and leaves the committed JSON alone.
 
 use std::time::Instant;
 
-use viva::{AnalysisSession, SessionBuilder, Viewport};
-use viva_agg::TimeSlice;
-use viva_layout::{LayoutConfig, LayoutEngine, NodeKey};
-use viva_trace::{ContainerKind, Trace, TraceBuilder};
+use viva::SessionBuilder;
+use viva_agg::{integrate_group, try_mean_over_group, AggIndex, TimeSlice, ViewState};
+use viva_trace::{ContainerId, ContainerKind, MetricId, Trace, TraceBuilder};
 
 struct Scale {
     sites: usize,
@@ -81,7 +79,7 @@ fn build_trace(s: &Scale) -> (Trace, usize) {
 
 /// The sliding slice windows the "cursor drag" sweeps through. Bounds
 /// are computed in integers so every slice is exactly representable —
-/// the view-equality assertion compares `f64`s bit for bit, and only
+/// the value-equality assertion compares `f64`s bit for bit, and only
 /// integer bounds keep merged-series and per-member integrals from
 /// drifting by an ulp.
 fn windows(s: &Scale) -> Vec<TimeSlice> {
@@ -94,15 +92,24 @@ fn windows(s: &Scale) -> Vec<TimeSlice> {
         .collect()
 }
 
-/// Total latency of sweeping every window: each iteration changes the
-/// slice and rebuilds the view, exactly what a cursor drag costs.
-fn sweep(session: &mut AnalysisSession, windows: &[TimeSlice]) -> f64 {
+/// One Equation 1 answer: a node's integral and space-time mean.
+type Answer = (f64, Option<f64>);
+
+/// Sweeps every window over every `(node, metric)` pair with `query`,
+/// exactly the aggregates a cursor drag recomputes. Returns the answers
+/// and the sweep's latency in milliseconds.
+fn sweep(
+    windows: &[TimeSlice],
+    pairs: &[(ContainerId, MetricId)],
+    query: impl Fn(ContainerId, MetricId, TimeSlice) -> Answer,
+) -> (Vec<Answer>, f64) {
     let t0 = Instant::now();
-    for &w in windows {
-        session.set_time_slice(w);
-        std::hint::black_box(session.view());
-    }
-    t0.elapsed().as_secs_f64() * 1e3
+    let answers = windows
+        .iter()
+        .flat_map(|&w| pairs.iter().map(move |&(c, m)| (c, m, w)))
+        .map(|(c, m, w)| std::hint::black_box(query(c, m, w)))
+        .collect();
+    (answers, t0.elapsed().as_secs_f64() * 1e3)
 }
 
 fn main() {
@@ -121,79 +128,53 @@ fn main() {
     }
 
     // --- slice-change latency: indexed vs naive rescan ---------------
-    let mut indexed = SessionBuilder::new(trace.clone()).build();
-    let mut naive = SessionBuilder::new(trace.clone()).without_index().build();
-    for s in [&mut indexed, &mut naive] {
-        s.collapse_at_depth(1); // site-level view: every node aggregates a deep subtree
-        s.relax(scale.relax_steps);
-    }
+    // Site-level view: every node aggregates a deep subtree.
+    let mut state = ViewState::new();
+    state.collapse_at_depth(trace.containers(), 1);
+    let frontier = state.visible(trace.containers());
+    let metrics: Vec<MetricId> =
+        ["power", "power_used"].iter().map(|n| trace.metric_id(n).expect("metric")).collect();
+    let pairs: Vec<(ContainerId, MetricId)> =
+        frontier.iter().flat_map(|&c| metrics.iter().map(move |&m| (c, m))).collect();
+    let index = AggIndex::build(&trace);
+    let naive_query = |c, m, w| {
+        (integrate_group(&trace, m, c, w), try_mean_over_group(&trace, m, c, w))
+    };
+    let indexed_query = |c, m, w| (index.integrate(m, c, w), index.try_mean(m, c, w));
 
     let ws = windows(&scale);
     // Warm-up pass, then the timed sweep.
-    sweep(&mut indexed, &ws);
-    sweep(&mut naive, &ws);
-    let indexed_ms = sweep(&mut indexed, &ws);
-    let naive_ms = sweep(&mut naive, &ws);
+    sweep(&ws, &pairs, indexed_query);
+    sweep(&ws, &pairs, naive_query);
+    let (indexed, indexed_ms) = sweep(&ws, &pairs, indexed_query);
+    let (naive, naive_ms) = sweep(&ws, &pairs, naive_query);
     let speedup = naive_ms / indexed_ms.max(1e-9);
-
-    assert_eq!(indexed.view(), naive.view(), "indexed and naive views diverged");
-    let vp = Viewport::new(800.0, 600.0);
-    let svg_indexed = indexed.render(&vp);
-    let svg_naive = naive.render(&vp);
-    let agg_identical = svg_indexed == svg_naive;
-    assert!(agg_identical, "indexed and naive SVG output differ");
+    let values_equal = indexed == naive;
+    assert!(values_equal, "indexed and naive aggregates diverged");
 
     println!(
-        "  slice sweep ({} windows): naive {:.2} ms, indexed {:.2} ms, speedup {:.1}x",
+        "  slice sweep ({} windows x {} nodes): naive {:.2} ms, indexed {:.2} ms, speedup {:.1}x",
         ws.len(),
+        frontier.len(),
         naive_ms,
         indexed_ms,
         speedup
     );
 
-    // --- relax latency: serial vs parallel repulsion ------------------
-    let mut serial = SessionBuilder::new(trace.clone()).build();
-    let mut parallel = SessionBuilder::new(trace).build();
-    serial.set_layout_parallelism(Some(1));
-    parallel.set_layout_parallelism(Some(4));
+    // --- relax latency ------------------------------------------------
+    let mut session = SessionBuilder::new(trace).build();
+    let nodes = session.layout().len();
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let t0 = Instant::now();
-    serial.relax(scale.relax_steps);
-    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    parallel.relax(scale.relax_steps);
-    let parallel_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    assert_eq!(serial.view(), parallel.view(), "serial and parallel layouts diverged");
-    let par_identical = serial.render(&vp) == parallel.render(&vp);
-    assert!(par_identical, "serial and parallel SVG output differ");
-
-    // Regression guard for the measured crossover: this very bench
-    // recorded the parallel repulsion pass *slower* than serial at 500
-    // hosts (142.9 ms vs 124.6 ms over 60 steps), so the auto policy
-    // must plan the serial path there. Deterministic by construction —
-    // no timing on a possibly loaded CI box.
-    let cfg = LayoutConfig::default();
-    assert!(cfg.parallel_threshold > 500, "auto threshold regressed below 500 hosts");
-    let mut probe = LayoutEngine::new(cfg, 42);
-    for i in 0..500 {
-        probe.add_node(NodeKey(i), 1.0);
-    }
-    assert_eq!(
-        probe.planned_repulsion_threads(),
-        1,
-        "auto policy must stay serial at 500 hosts where parallel measured slower"
-    );
-
+    session.relax(scale.relax_steps);
+    let relax_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!(
-        "  relax ({} steps, {} nodes): serial {:.2} ms, 4 threads {:.2} ms",
-        scale.relax_steps,
-        hosts + scale.sites * scale.clusters + scale.sites + 1,
-        serial_ms,
-        parallel_ms
+        "  relax ({} steps, {nodes} nodes, {cores} cores available): {relax_ms:.2} ms",
+        scale.relax_steps
     );
 
     if small {
-        println!("  smoke mode: equivalence checks passed, timings not asserted");
+        println!("  smoke mode: value-equality check passed, timings not asserted");
         return;
     }
 
@@ -203,8 +184,9 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"interactivity\",\n  \"trace\": {{ \"hosts\": {hosts}, \"events\": {events} }},\n  \"slice_change\": {{\n    \"windows\": {},\n    \"naive_ms\": {naive_ms:.3},\n    \"indexed_ms\": {indexed_ms:.3},\n    \"speedup\": {speedup:.2},\n    \"svg_byte_identical\": {agg_identical}\n  }},\n  \"relax\": {{\n    \"steps\": {},\n    \"serial_ms\": {serial_ms:.3},\n    \"parallel_ms\": {parallel_ms:.3},\n    \"svg_byte_identical\": {par_identical}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"interactivity\",\n  \"trace\": {{ \"hosts\": {hosts}, \"events\": {events} }},\n  \"slice_change\": {{\n    \"windows\": {},\n    \"frontier_nodes\": {},\n    \"naive_ms\": {naive_ms:.3},\n    \"indexed_ms\": {indexed_ms:.3},\n    \"speedup\": {speedup:.2},\n    \"values_equal\": {values_equal}\n  }},\n  \"relax\": {{\n    \"steps\": {},\n    \"nodes\": {nodes},\n    \"available_parallelism\": {cores},\n    \"relax_ms\": {relax_ms:.3}\n  }}\n}}\n",
         ws.len(),
+        frontier.len(),
         scale.relax_steps
     );
     std::fs::write("BENCH_interactivity.json", &json).expect("write BENCH_interactivity.json");

@@ -30,7 +30,7 @@ use crate::lod;
 use crate::mapping::MappingConfig;
 use crate::scaling::ScalingConfig;
 use crate::svg;
-use crate::view::{build_view_cached, build_view_lod, AggSource, GraphView, NodePartial};
+use crate::view::{build_view_cached, build_view_lod, GraphView, NodePartial};
 use crate::viewport::{Camera, Viewport};
 
 /// Why a session operation could not be applied. Session inputs come
@@ -127,12 +127,10 @@ pub struct AnalysisSession {
     breakdown: Vec<String>,
     /// Current visible frontier (mirrors the layout's node set).
     frontier: Vec<ContainerId>,
-    /// Prebuilt aggregation index (`None` on
-    /// [`SessionBuilder::without_index`] sessions, which fall back to
-    /// full rescans — the benchmark baseline). Shared: many sessions
-    /// over one stored trace reuse a single build (see
-    /// [`SessionBuilder::shared_index`]).
-    index: Option<Arc<AggIndex>>,
+    /// Prebuilt aggregation index every view and aggregate is served
+    /// from. Shared: many sessions over one stored trace reuse a single
+    /// build (see [`SessionBuilder::shared_index`]).
+    index: Arc<AggIndex>,
     /// Per-container cache of first-pass view aggregates. Interior
     /// mutability keeps [`view`](AnalysisSession::view) `&self`;
     /// mutators invalidate exactly what their change dirtied (see
@@ -239,7 +237,6 @@ pub struct SessionBuilder {
     trace: Arc<Trace>,
     config: SessionConfig,
     edges: Option<Vec<(ContainerId, ContainerId)>>,
-    use_index: bool,
     shared_index: Option<Arc<AggIndex>>,
     recorder: Recorder,
 }
@@ -258,7 +255,6 @@ impl SessionBuilder {
             trace: trace.into(),
             config: SessionConfig::default(),
             edges: None,
-            use_index: true,
             shared_index: None,
             recorder: Recorder::disabled(),
         }
@@ -300,17 +296,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Disables the aggregation index: every view refresh and
-    /// [`AnalysisSession::aggregate`] call rescans the trace. Only
-    /// useful as a benchmark baseline and for differential testing of
-    /// the index itself.
-    #[must_use]
-    pub fn without_index(mut self) -> SessionBuilder {
-        self.use_index = false;
-        self.shared_index = None;
-        self
-    }
-
     /// Reuses an aggregation index built over the **same** trace
     /// instead of building a fresh one — the attach path: a thousand
     /// sessions over one stored trace share one `O(n log n)` build.
@@ -318,7 +303,6 @@ impl SessionBuilder {
     /// (the server's `TraceStore` guarantees this by construction).
     #[must_use]
     pub fn shared_index(mut self, index: Arc<AggIndex>) -> SessionBuilder {
-        self.use_index = true;
         self.shared_index = Some(index);
         self
     }
@@ -327,11 +311,11 @@ impl SessionBuilder {
     /// pairs unless overridden), constructs the aggregation index, and
     /// seeds the layout with the initial visible frontier.
     pub fn build(self) -> AnalysisSession {
-        let SessionBuilder { trace, config, edges, use_index, shared_index, recorder } = self;
+        let SessionBuilder { trace, config, edges, shared_index, recorder } = self;
         let leaf_edges = edges.unwrap_or_else(|| trace.communication_pairs());
         let slice = TimeSlice::new(trace.start(), trace.end());
-        let index = shared_index
-            .or_else(|| use_index.then(|| Arc::new(AggIndex::build_observed(&trace, &recorder))));
+        let index =
+            shared_index.unwrap_or_else(|| Arc::new(AggIndex::build_observed(&trace, &recorder)));
         let mut layout = LayoutEngine::new(config.layout, config.seed);
         layout.set_recorder(recorder.clone());
         let obs = recorder.is_enabled().then(|| Box::new(SessionObs::new(&recorder)));
@@ -422,11 +406,11 @@ impl AnalysisSession {
         Arc::clone(&self.trace)
     }
 
-    /// The shared aggregation index, when the session has one. Pass it
-    /// to [`SessionBuilder::shared_index`] to build sibling sessions
-    /// over the same trace without re-indexing.
+    /// The shared aggregation index — always `Some`. Pass it to
+    /// [`SessionBuilder::shared_index`] to build sibling sessions over
+    /// the same trace without re-indexing.
     pub fn shared_index(&self) -> Option<Arc<AggIndex>> {
-        self.index.clone()
+        Some(Arc::clone(&self.index))
     }
 
     /// The observability recorder the session reports into (disabled
@@ -520,9 +504,7 @@ impl AnalysisSession {
     ) -> Result<(), TraceError> {
         let tracked = self.slice_tracks_extent();
         let prior = Arc::make_mut(&mut self.trace).live_push_sample(container, metric, t, v)?;
-        if let Some(index) = &mut self.index {
-            Arc::make_mut(index).insert_sample(&self.trace, container, metric, t, v, prior);
-        }
+        Arc::make_mut(&mut self.index).insert_sample(&self.trace, container, metric, t, v, prior);
         if tracked && !self.slice_tracks_extent() {
             // The sample grew the extent: follow it, dropping every
             // cached aggregate (they integrated over the old slice).
@@ -540,9 +522,7 @@ impl AnalysisSession {
     /// cached badges.
     pub fn live_quarantine_sample(&mut self, container: ContainerId, metric: MetricId) {
         Arc::make_mut(&mut self.trace).live_note_quarantined(container, metric);
-        if let Some(index) = &mut self.index {
-            Arc::make_mut(index).note_quarantine(&self.trace, metric);
-        }
+        Arc::make_mut(&mut self.index).note_quarantine(&self.trace, metric);
         self.invalidate_chain(container);
         self.touch();
     }
@@ -569,7 +549,7 @@ impl AnalysisSession {
     /// the topology edge set is re-derived from the new trace's
     /// communication pairs (live sessions infer edges — platform-wired
     /// sessions are not rebased).
-    pub fn rebase(&mut self, trace: impl Into<Arc<Trace>>, index: Option<Arc<AggIndex>>) {
+    pub fn rebase(&mut self, trace: impl Into<Arc<Trace>>, index: Arc<AggIndex>) {
         let tracked = self.slice_tracks_extent();
         self.trace = trace.into();
         self.index = index;
@@ -911,19 +891,6 @@ impl AnalysisSession {
         executed
     }
 
-    /// Sets the repulsion-pass thread policy of the layout engine:
-    /// `None` decides from node count and available cores, `Some(1)`
-    /// forces serial, `Some(n)` forces `n` threads. Positions are
-    /// byte-identical under every policy.
-    pub fn set_layout_parallelism(&mut self, threads: Option<usize>) {
-        self.layout.set_parallelism(threads);
-    }
-
-    /// The current repulsion-pass thread policy.
-    pub fn layout_parallelism(&self) -> Option<usize> {
-        self.layout.parallelism()
-    }
-
     /// Whether the layout watchdog froze the simulation, and why
     /// (`None` while running). Frozen layouts keep serving their last
     /// healthy positions — views and renders continue to work.
@@ -995,20 +962,11 @@ impl AnalysisSession {
         Ok(())
     }
 
-    /// The aggregation source views and aggregates draw from.
-    fn agg_source(&self) -> AggSource<'_> {
-        match &self.index {
-            Some(idx) => AggSource::Indexed(idx),
-            None => AggSource::Naive,
-        }
-    }
-
     /// Computes the scene for the current slice, collapse state,
     /// mapping, scaling and layout. Per-node aggregates are served from
     /// the session cache when the relevant state did not change since
     /// the last view; missing entries are computed through the
-    /// aggregation index (`O(log n)` per query) unless the session was
-    /// built [`without_index`](SessionBuilder::without_index).
+    /// aggregation index (`O(log n)` per query).
     pub fn view(&self) -> GraphView {
         let _timer = self.obs.as_ref().map(|obs| {
             obs.views.inc();
@@ -1024,7 +982,7 @@ impl AnalysisSession {
             &|c| self.layout.position(key(c)).unwrap_or_default(),
             &self.leaf_edges,
             &self.breakdown,
-            self.agg_source(),
+            &self.index,
             &mut cache,
         )
     }
@@ -1089,7 +1047,7 @@ impl AnalysisSession {
             &position,
             &self.leaf_edges,
             &self.breakdown,
-            self.agg_source(),
+            &self.index,
             &mut cache,
             &cut,
         );
@@ -1126,10 +1084,9 @@ impl AnalysisSession {
     /// Aggregates `metric` over the subtree of `group` and the current
     /// slice (Equation 1 plus §6 indicators) — the numeric companion of
     /// the visual view, used by the figure harnesses. Served through
-    /// the aggregation index when the session has one. Fails on an
-    /// unknown metric name or container id; a *known* group with no
-    /// surviving data yields an aggregate with
-    /// [`GroupAggregate::is_empty`] set.
+    /// the aggregation index. Fails on an unknown metric name or
+    /// container id; a *known* group with no surviving data yields an
+    /// aggregate with [`GroupAggregate::is_empty`] set.
     pub fn aggregate(&self, metric: &str, group: ContainerId) -> Result<GroupAggregate, SessionError> {
         let _phase = self.recorder.tracer().phase("agg.query");
         self.check_container(group)?;
@@ -1137,10 +1094,7 @@ impl AnalysisSession {
             .trace
             .metric_id(metric)
             .ok_or_else(|| SessionError::UnknownMetric(metric.to_string()))?;
-        Ok(match &self.index {
-            Some(idx) => idx.aggregate(&self.trace, m, group, self.slice),
-            None => GroupAggregate::compute(&self.trace, m, group, self.slice),
-        })
+        Ok(self.index.aggregate(&self.trace, m, group, self.slice))
     }
 }
 
@@ -1218,6 +1172,9 @@ mod tests {
                     .unwrap();
                 b.set_variable(0.0, h, power, 100.0).unwrap();
                 b.set_variable(0.0, h, used, 60.0).unwrap();
+                // Load drops in the second half, so aggregates depend
+                // on the slice.
+                b.set_variable(5.0, h, used, 20.0).unwrap();
                 hosts.push(h);
             }
         }
@@ -1580,67 +1537,9 @@ mod tests {
         );
     }
 
-    /// Differential test of the whole session hot path: an indexed
-    /// session and a rescan session must agree on every view and every
-    /// render through a sequence of slice changes and collapse/expand
-    /// operations (this also exercises cache invalidation — a stale
-    /// cache entry would show up as a view mismatch).
-    #[test]
-    fn indexed_session_matches_naive_session() {
-        let mut fast = session();
-        let mut slow = {
-            let mut b = TraceBuilder::new();
-            let power = b.metric("power", "MFlop/s");
-            let used = b.metric("power_used", "MFlop/s");
-            let bw = b.metric("bandwidth", "Mbit/s");
-            let mut hosts = Vec::new();
-            for cn in ["c1", "c2"] {
-                let cl = b.new_container(b.root(), cn, ContainerKind::Cluster).unwrap();
-                for i in 0..2 {
-                    let h = b
-                        .new_container(cl, format!("{cn}-h{i}"), ContainerKind::Host)
-                        .unwrap();
-                    b.set_variable(0.0, h, power, 100.0).unwrap();
-                    b.set_variable(0.0, h, used, 60.0).unwrap();
-                    hosts.push(h);
-                }
-            }
-            let bb = b.new_container(b.root(), "bb", ContainerKind::Link).unwrap();
-            b.set_variable(0.0, bb, bw, 1000.0).unwrap();
-            let trace = b.finish(10.0);
-            let edges = vec![
-                (hosts[0], hosts[1]),
-                (hosts[2], hosts[3]),
-                (hosts[1], bb),
-                (bb, hosts[2]),
-            ];
-            AnalysisSession::builder(trace).edges(edges).without_index().build()
-        };
-        let c1 = fast.trace().containers().by_name("c1").unwrap().id();
-        let vp = Viewport::default();
-        assert_eq!(fast.view(), slow.view());
-        for s in [&mut fast, &mut slow] {
-            s.set_time_slice(TimeSlice::new(2.0, 7.0));
-        }
-        assert_eq!(fast.view(), slow.view());
-        assert_eq!(fast.render(&vp), slow.render(&vp));
-        for s in [&mut fast, &mut slow] {
-            s.collapse(c1).unwrap();
-        }
-        assert_eq!(fast.view(), slow.view());
-        for s in [&mut fast, &mut slow] {
-            s.set_time_slice(TimeSlice::new(0.0, 4.0));
-            s.expand(c1).unwrap();
-            s.collapse_at_depth(1);
-        }
-        assert_eq!(fast.view(), slow.view());
-        assert_eq!(fast.render(&vp), slow.render(&vp));
-        assert_eq!(
-            fast.aggregate("power_used", c1).unwrap(),
-            slow.aggregate("power_used", c1).unwrap()
-        );
-    }
-
+    /// Cached views must match views recomputed from an empty cache
+    /// through slice changes and collapse/expand operations: a stale
+    /// cache entry would show up as a mismatch.
     #[test]
     fn cached_views_are_stable_across_repeats() {
         let mut s = session();
@@ -1650,6 +1549,19 @@ mod tests {
         let after = s.view();
         assert_eq!(after, s.view());
         assert_ne!(first.slice, after.slice);
+        let uncached = |s: &AnalysisSession| {
+            s.clear_cache();
+            s.view()
+        };
+        let c1 = s.trace().containers().by_name("c1").unwrap().id();
+        s.set_time_slice(TimeSlice::new(2.0, 7.0));
+        assert_eq!(s.view(), uncached(&s));
+        s.collapse(c1).unwrap();
+        assert_eq!(s.view(), uncached(&s));
+        s.set_time_slice(TimeSlice::new(0.0, 4.0));
+        s.expand(c1).unwrap();
+        s.collapse_at_depth(1);
+        assert_eq!(s.view(), uncached(&s));
     }
 
     #[test]
@@ -1851,7 +1763,7 @@ mod tests {
         b.set_variable(3.0, h_new, power, 100.0).unwrap();
         let grown = Arc::new(b.finish(12.0));
         let index = Arc::new(AggIndex::build(&grown));
-        s.rebase(grown.clone(), Some(index.clone()));
+        s.rebase(grown.clone(), index.clone());
 
         assert_eq!(s.time_slice(), TimeSlice::new(0.0, 12.0), "full slice follows");
         let view = s.view();

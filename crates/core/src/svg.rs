@@ -458,7 +458,7 @@ mod tests {
         b.set_variable(0.0, h, used, 50.0).unwrap();
         b.set_variable(0.0, l, bw, 1000.0).unwrap();
         let t = b.finish(10.0);
-        crate::view::build_view(
+        crate::view::tests::build_view(
             &t,
             &ViewState::new(),
             TimeSlice::new(0.0, 10.0),
@@ -573,7 +573,7 @@ mod degraded_data_tests {
             .expect("lenient load never errors on record faults");
         assert_eq!(report.quarantined, 2);
         assert_eq!(report.dropped, 3, "garbage line + 2 quarantined");
-        crate::view::build_view(
+        crate::view::tests::build_view(
             &report.trace,
             &ViewState::new(),
             TimeSlice::new(0.0, 10.0),
@@ -631,7 +631,7 @@ mod availability_tests {
         // `down` crashes at t=4 and never recovers.
         b.set_variable(4.0, down, avail, 0.0).unwrap();
         let t = b.finish(10.0);
-        let view = crate::view::build_view(
+        let view = crate::view::tests::build_view(
             &t,
             &ViewState::new(),
             TimeSlice::new(0.0, 10.0),
@@ -684,7 +684,7 @@ mod pie_tests {
         b.set_variable(0.0, h, a1, 60.0).unwrap();
         b.set_variable(0.0, h, a2, 20.0).unwrap();
         let t = b.finish(10.0);
-        let view = crate::view::build_view(
+        let view = crate::view::tests::build_view(
             &t,
             &ViewState::new(),
             TimeSlice::new(0.0, 10.0),

@@ -1,9 +1,9 @@
 //! The computed scene: what a topology view draws for one time-slice.
 //!
 //! [`GraphView`] is a pure description — node shapes, pixel sizes,
-//! fill fractions, positions, edges — produced by
-//! [`build_view`] from a trace, the collapse state, the time-slice, the
-//! visual mapping and the scaling configuration. Rendering (SVG) and
+//! fill fractions, positions, edges — produced from a trace and its
+//! aggregation index, the collapse state, the time-slice, the visual
+//! mapping and the scaling configuration. Rendering (SVG) and
 //! interaction (sessions) live elsewhere; tests can assert on views
 //! directly.
 
@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use viva_agg::{AggIndex, TimeSlice, ViewState};
 use viva_layout::Vec2;
-use viva_trace::{ContainerId, ContainerKind, MetricId, Trace};
+use viva_trace::{ContainerId, ContainerKind, Trace};
 
 use crate::mapping::{MappingConfig, Shape};
 use crate::scaling::ScalingConfig;
@@ -209,62 +209,6 @@ impl GraphView {
     }
 }
 
-/// How Equation 1 is evaluated per visible node.
-#[derive(Clone, Copy)]
-pub(crate) enum AggSource<'a> {
-    /// Full subtree rescan per query — the reference path.
-    Naive,
-    /// `O(log n)` lookups against a session's prebuilt [`AggIndex`].
-    Indexed(&'a AggIndex),
-}
-
-impl AggSource<'_> {
-    /// Just the integral `F_{Γ,Δ}` — `O(log n)` when indexed.
-    fn integral(self, trace: &Trace, metric: MetricId, c: ContainerId, slice: TimeSlice) -> f64 {
-        match self {
-            AggSource::Naive => viva_agg::integrate_group(trace, metric, c, slice),
-            AggSource::Indexed(idx) => idx.integrate(metric, c, slice),
-        }
-    }
-
-    /// Number of containers under `c` carrying `metric`.
-    fn carriers(self, trace: &Trace, metric: MetricId, c: ContainerId) -> usize {
-        match self {
-            AggSource::Naive => trace
-                .containers()
-                .subtree(c)
-                .into_iter()
-                .filter(|&x| trace.signal(x, metric).is_some())
-                .count(),
-            AggSource::Indexed(idx) => idx.carrier_count(metric, c),
-        }
-    }
-
-    /// Space-time mean, `None` when no data survived the neighbourhood.
-    fn try_mean(self, trace: &Trace, metric: MetricId, c: ContainerId, slice: TimeSlice) -> Option<f64> {
-        match self {
-            AggSource::Naive => viva_agg::try_mean_over_group(trace, metric, c, slice),
-            AggSource::Indexed(idx) => idx.try_mean(metric, c, slice),
-        }
-    }
-
-    /// Quarantined-at-ingest samples under `c`, all metrics summed —
-    /// `O(metrics · log n)` when indexed (Euler-tour prefix sums), a
-    /// subtree rescan on the naive path. Both read the same counters
-    /// recorded on the trace by the lenient loader, so they agree
-    /// exactly.
-    fn quarantined(self, trace: &Trace, c: ContainerId) -> u64 {
-        match self {
-            AggSource::Naive => trace
-                .metrics()
-                .iter()
-                .map(|m| trace.quarantined_under(c, m.id()))
-                .sum(),
-            AggSource::Indexed(idx) => idx.quarantined_under_all(c),
-        }
-    }
-}
-
 #[allow(clippy::manual_clamp)] // max-first normalizes -0.0, clamp keeps it
 fn fraction(fill: f64, size: f64) -> f64 {
     if size > 0.0 {
@@ -277,7 +221,7 @@ fn fraction(fill: f64, size: f64) -> f64 {
 }
 
 /// The cacheable, slice-dependent aggregation result of one visible
-/// container — everything `build_view`'s first pass computes before the
+/// container — everything the scene's first pass computes before the
 /// whole-frontier pixel scaling. A session caches these per container
 /// and invalidates them on slice/collapse/mapping changes, so a
 /// collapse only recomputes the affected subtree's entries.
@@ -295,17 +239,15 @@ pub(crate) struct NodePartial {
 }
 
 /// First-pass aggregation of one visible container (Equation 1 per
-/// mapped metric, badge, pie segments, availability). With an
-/// [`AggSource::Indexed`] source every query but the §6 summary is
-/// `O(log n)`; the naive source reproduces the reference rescan path
-/// value for value.
+/// mapped metric, badge, pie segments, availability), every query an
+/// `O(log n)` lookup against `index`.
 pub(crate) fn compute_partial(
     trace: &Trace,
     state: &ViewState,
     slice: TimeSlice,
     mapping: &MappingConfig,
     breakdown: &[String],
-    source: AggSource<'_>,
+    index: &AggIndex,
     c: ContainerId,
 ) -> NodePartial {
     let tree = trace.containers();
@@ -316,8 +258,8 @@ pub(crate) fn compute_partial(
     let norm = |v: f64| if width > 0.0 { v / width } else { 0.0 };
     let (size_value, members) = match rule.size_metric.as_deref().and_then(|n| trace.metric_id(n)) {
         Some(m) => (
-            norm(source.integral(trace, m, c, slice)),
-            source.carriers(trace, m, c).max(1),
+            norm(index.integrate(m, c, slice)),
+            index.carrier_count(m, c).max(1),
         ),
         None => (0.0, 1),
     };
@@ -325,7 +267,7 @@ pub(crate) fn compute_partial(
         .fill_metric
         .as_deref()
         .and_then(|n| trace.metric_id(n))
-        .map_or(0.0, |m| norm(source.integral(trace, m, c, slice)));
+        .map_or(0.0, |m| norm(index.integrate(m, c, slice)));
     // A collapsed group that contains links gets the Fig. 3 diamond
     // badge, aggregated with the Link mapping.
     let badge = if kind.is_grouping() && state.is_collapsed(c) && width > 0.0 {
@@ -334,14 +276,14 @@ pub(crate) fn compute_partial(
             .size_metric
             .as_deref()
             .and_then(|n| trace.metric_id(n))
-            .filter(|&m| source.carriers(trace, m, c) > 0)
+            .filter(|&m| index.carrier_count(m, c) > 0)
             .map(|m| {
-                let bs = norm(source.integral(trace, m, c, slice));
+                let bs = norm(index.integrate(m, c, slice));
                 let bf = link_rule
                     .fill_metric
                     .as_deref()
                     .and_then(|n| trace.metric_id(n))
-                    .map_or(0.0, |fm| norm(source.integral(trace, fm, c, slice)));
+                    .map_or(0.0, |fm| norm(index.integrate(fm, c, slice)));
                 (bs, bf)
             })
     } else {
@@ -352,7 +294,7 @@ pub(crate) fn compute_partial(
         .iter()
         .filter_map(|name| {
             let m = trace.metric_id(name)?;
-            let integral = source.integral(trace, m, c, slice);
+            let integral = index.integrate(m, c, slice);
             (integral > 0.0).then(|| (name.clone(), integral))
         })
         .collect();
@@ -367,7 +309,7 @@ pub(crate) fn compute_partial(
     // tracing) means "always up", not "down".
     let availability = trace
         .metric_id(viva_trace::metric::names::AVAILABILITY)
-        .and_then(|m| source.try_mean(trace, m, c, slice))
+        .and_then(|m| index.try_mean(m, c, slice))
         .unwrap_or(1.0)
         .clamp(0.0, 1.0);
     NodePartial {
@@ -379,11 +321,13 @@ pub(crate) fn compute_partial(
         badge,
         segments,
         availability,
-        quarantined: source.quarantined(trace, c),
+        quarantined: index.quarantined_under_all(c),
     }
 }
 
-/// Computes the scene for the visible frontier of `state`.
+/// Computes the scene for the visible frontier of `state`, drawing
+/// every aggregate from `index` through a reusable per-container cache
+/// of first-pass partials.
 ///
 /// * `positions` supplies layout coordinates per visible container;
 /// * `leaf_edges` are relationships between *leaf* containers (e.g.
@@ -392,36 +336,10 @@ pub(crate) fn compute_partial(
 ///   frontier, deduplicated, self-loops dropped;
 /// * `breakdown` metrics (may be empty) fill each node's pie-chart
 ///   segments with their relative shares.
-#[allow(clippy::too_many_arguments)] // one parameter per §3–§4 input
-pub fn build_view(
-    trace: &Trace,
-    state: &ViewState,
-    slice: TimeSlice,
-    mapping: &MappingConfig,
-    scaling: &ScalingConfig,
-    positions: &dyn Fn(ContainerId) -> Vec2,
-    leaf_edges: &[(ContainerId, ContainerId)],
-    breakdown: &[String],
-) -> GraphView {
-    build_view_cached(
-        trace,
-        state,
-        slice,
-        mapping,
-        scaling,
-        positions,
-        leaf_edges,
-        breakdown,
-        AggSource::Naive,
-        &mut HashMap::new(),
-    )
-}
-
-/// [`build_view`] with an explicit aggregation source and a reusable
-/// per-container cache of first-pass partials. Only containers missing
-/// from `cache` are aggregated; the whole-frontier pixel scaling
-/// (second pass) is recomputed every time, since it depends on the
-/// frontier-wide maxima.
+///
+/// Only containers missing from `cache` are aggregated; the
+/// whole-frontier pixel scaling (second pass) is recomputed every
+/// time, since it depends on the frontier-wide maxima.
 #[allow(clippy::too_many_arguments)] // one parameter per §3–§4 input
 pub(crate) fn build_view_cached(
     trace: &Trace,
@@ -432,11 +350,11 @@ pub(crate) fn build_view_cached(
     positions: &dyn Fn(ContainerId) -> Vec2,
     leaf_edges: &[(ContainerId, ContainerId)],
     breakdown: &[String],
-    source: AggSource<'_>,
+    index: &AggIndex,
     cache: &mut HashMap<ContainerId, NodePartial>,
 ) -> GraphView {
     build_scene(
-        trace, state, slice, mapping, scaling, positions, leaf_edges, breakdown, source, cache,
+        trace, state, slice, mapping, scaling, positions, leaf_edges, breakdown, index, cache,
         None,
     )
 }
@@ -457,12 +375,12 @@ pub(crate) fn build_view_lod(
     positions: &dyn Fn(ContainerId) -> Vec2,
     leaf_edges: &[(ContainerId, ContainerId)],
     breakdown: &[String],
-    source: AggSource<'_>,
+    index: &AggIndex,
     cache: &mut HashMap<ContainerId, NodePartial>,
     cut: &crate::lod::LodCut,
 ) -> GraphView {
     build_scene(
-        trace, state, slice, mapping, scaling, positions, leaf_edges, breakdown, source, cache,
+        trace, state, slice, mapping, scaling, positions, leaf_edges, breakdown, index, cache,
         Some(cut),
     )
 }
@@ -477,7 +395,7 @@ fn build_scene(
     positions: &dyn Fn(ContainerId) -> Vec2,
     leaf_edges: &[(ContainerId, ContainerId)],
     breakdown: &[String],
-    source: AggSource<'_>,
+    index: &AggIndex,
     cache: &mut HashMap<ContainerId, NodePartial>,
     cut: Option<&crate::lod::LodCut>,
 ) -> GraphView {
@@ -493,7 +411,7 @@ fn build_scene(
         .map(|&c| {
             let p = cache
                 .entry(c)
-                .or_insert_with(|| compute_partial(trace, state, slice, mapping, breakdown, source, c));
+                .or_insert_with(|| compute_partial(trace, state, slice, mapping, breakdown, index, c));
             (c, p.clone())
         })
         .collect();
@@ -561,7 +479,7 @@ fn build_scene(
                 let p = cache
                     .entry(seed.root)
                     .or_insert_with(|| {
-                        compute_partial(trace, state, slice, mapping, breakdown, source, seed.root)
+                        compute_partial(trace, state, slice, mapping, breakdown, index, seed.root)
                     })
                     .clone();
                 ViewTile {
@@ -628,10 +546,37 @@ fn build_scene(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use viva_agg::GroupAggregate;
     use viva_trace::TraceBuilder;
+
+    /// The scene through a fresh [`AggIndex`] over `trace` and an empty
+    /// cache — what a session computes on its first view.
+    #[allow(clippy::too_many_arguments)] // mirrors `build_view_cached`
+    pub(crate) fn build_view(
+        trace: &Trace,
+        state: &ViewState,
+        slice: TimeSlice,
+        mapping: &MappingConfig,
+        scaling: &ScalingConfig,
+        positions: &dyn Fn(ContainerId) -> Vec2,
+        leaf_edges: &[(ContainerId, ContainerId)],
+        breakdown: &[String],
+    ) -> GraphView {
+        build_view_cached(
+            trace,
+            state,
+            slice,
+            mapping,
+            scaling,
+            positions,
+            leaf_edges,
+            breakdown,
+            &AggIndex::build(trace),
+            &mut HashMap::new(),
+        )
+    }
 
     /// cluster(c1: h1 100/50 used, h2 25/25 used, l1 bw 1000/500 used)
     /// + cluster(c2: h3 200, idle).
@@ -792,10 +737,10 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_counts_agree_between_naive_and_indexed_sources() {
+    fn quarantine_counts_roll_up_to_the_collapsed_group() {
         use viva_trace::{RecoveryMode, TraceLoader};
-        // NaNs on two hosts of the same cluster; they must roll up to
-        // the collapsed-group node identically through both paths.
+        // NaNs on two hosts of the same cluster roll up to the
+        // collapsed-group node.
         let text = "span,0,10\n\
                     container,1,0,cluster,c1\n\
                     container,2,1,host,h1\n\
@@ -811,34 +756,26 @@ mod tests {
             .load_str(text)
             .unwrap()
             .trace;
-        let idx = AggIndex::build(&t);
         let c1 = t.containers().by_name("c1").unwrap().id();
         let mut state = ViewState::new();
         state.collapse(c1);
-        let build = |source: AggSource<'_>| {
-            build_view_cached(
-                &t,
-                &state,
-                TimeSlice::new(0.0, 10.0),
-                &MappingConfig::default(),
-                &ScalingConfig::default(),
-                &|_| Vec2::default(),
-                &[],
-                &[],
-                source,
-                &mut HashMap::new(),
-            )
-        };
-        let naive = build(AggSource::Naive);
-        let indexed = build(AggSource::Indexed(&idx));
-        assert_eq!(naive, indexed, "sources must agree node for node");
-        assert_eq!(naive.node(c1).unwrap().quarantined, 3);
-        assert_eq!(naive.node_by_label("h3").unwrap().quarantined, 0);
-        assert_eq!(naive.quarantined_total(), 3);
-        assert!(naive.has_degraded_data());
+        let view = build_view(
+            &t,
+            &state,
+            TimeSlice::new(0.0, 10.0),
+            &MappingConfig::default(),
+            &ScalingConfig::default(),
+            &|_| Vec2::default(),
+            &[],
+            &[],
+        );
+        assert_eq!(view.node(c1).unwrap().quarantined, 3);
+        assert_eq!(view.node_by_label("h3").unwrap().quarantined, 0);
+        assert_eq!(view.quarantined_total(), 3);
+        assert!(view.has_degraded_data());
         // Quarantined samples count as dropped events too (quarantine
         // is a subset of the drop ledger).
-        assert_eq!(naive.ingest_dropped, 3);
+        assert_eq!(view.ingest_dropped, 3);
     }
 
     #[test]
@@ -862,6 +799,7 @@ mod tests {
 
 #[cfg(test)]
 mod breakdown_tests {
+    use super::tests::build_view;
     use super::*;
     use viva_trace::TraceBuilder;
 

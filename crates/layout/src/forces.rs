@@ -31,13 +31,6 @@ pub struct LayoutConfig {
     pub min_distance: f64,
     /// Hard cap on per-step node displacement (numerical guard).
     pub max_displacement: f64,
-    /// Node count below which the auto thread policy keeps the
-    /// repulsion pass serial. BENCH_interactivity.json measured the
-    /// parallel pass *slower* than serial at 500 hosts (142.9 ms vs
-    /// 124.6 ms over 60 steps): scoped-thread spawn and cache traffic
-    /// dwarf the per-node Barnes-Hut work until layouts grow well past
-    /// that. An explicit `set_parallelism` policy overrides this.
-    pub parallel_threshold: usize,
 }
 
 impl Default for LayoutConfig {
@@ -51,7 +44,6 @@ impl Default for LayoutConfig {
             dt: 0.05,
             min_distance: 0.05,
             max_displacement: 25.0,
-            parallel_threshold: 1024,
         }
     }
 }
@@ -72,7 +64,6 @@ impl LayoutConfig {
         assert!(self.dt.is_finite() && self.dt > 0.0);
         assert!(self.min_distance.is_finite() && self.min_distance > 0.0);
         assert!(self.max_displacement.is_finite() && self.max_displacement > 0.0);
-        // parallel_threshold: every usize is legal (0 = always fork).
         self
     }
 
@@ -109,7 +100,6 @@ impl LayoutConfig {
             dt: positive(self.dt, d.dt),
             min_distance: positive(self.min_distance, d.min_distance),
             max_displacement: positive(self.max_displacement, d.max_displacement),
-            parallel_threshold: self.parallel_threshold,
         }
     }
 }
@@ -177,7 +167,6 @@ mod tests {
             dt: f64::NEG_INFINITY,
             min_distance: -0.5,
             max_displacement: f64::NAN,
-            parallel_threshold: 0,
         }
         .sanitized();
         // Sanitized output always passes full validation.
@@ -194,16 +183,14 @@ mod tests {
         // Finite but over-unity damping clamps to the legal ceiling.
         let over = LayoutConfig { damping: 2.0, ..Default::default() }.sanitized();
         assert_eq!(over.damping, 1.0);
-        // The thread threshold has no illegal values and passes through.
-        assert_eq!(cfg.parallel_threshold, 0);
     }
 
-    /// The measured regression this knob exists for: at 500 hosts the
-    /// parallel repulsion pass was slower than serial, so the default
-    /// auto policy must stay serial there.
+    /// The measured regression the threshold exists for: at 500 hosts
+    /// the parallel repulsion pass was slower than serial, so the
+    /// force pass must stay serial there.
     #[test]
     fn default_threshold_keeps_500_hosts_serial() {
-        assert!(LayoutConfig::default().parallel_threshold > 500);
+        assert!(crate::engine::PARALLEL_THRESHOLD > 500);
     }
 
     #[test]

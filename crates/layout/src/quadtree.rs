@@ -162,63 +162,17 @@ impl QuadTree {
 
     /// The approximate Coulomb repulsion exerted by all points on a
     /// probe of charge `charge` at `at`, excluding the point stored at
-    /// index `exclude` (pass `usize::MAX` to include everything).
+    /// index `exclude` (pass `usize::MAX` to include everything), and
+    /// the number of Coulomb evaluations performed (leaf points plus
+    /// macro-cells the opening-angle test accepted). The observability
+    /// layer compares that tally against the naive `n·(n-1)` pair count
+    /// to show the paper's Barnes-Hut trade-off (§3.3) as a live metric
+    /// instead of a claim.
     ///
     /// `theta` is the opening angle: 0 degrades to exact `O(n)` per
     /// query; larger values are faster and coarser (0.5–1.0 typical).
     /// `min_dist` clamps the singularity at zero distance.
     pub fn repulsion(
-        &self,
-        at: Vec2,
-        charge: f64,
-        exclude: usize,
-        theta: f64,
-        min_dist: f64,
-    ) -> Vec2 {
-        if self.cells.is_empty() {
-            return Vec2::default();
-        }
-        let mut force = Vec2::default();
-        // Explicit stack to avoid recursion overhead.
-        let mut stack = vec![0usize];
-        while let Some(ci) = stack.pop() {
-            let cell = &self.cells[ci];
-            if cell.charge == 0.0 {
-                continue;
-            }
-            if cell.is_leaf() {
-                if cell.point != usize::MAX && cell.point != exclude {
-                    force +=
-                        coulomb(at, cell.centroid, charge * cell.charge, min_dist, exclude as u64);
-                }
-                continue;
-            }
-            let d = at.distance(cell.centroid);
-            if cell.half * 2.0 < theta * d {
-                // Far enough: treat the cell as a single macro-charge.
-                // (A cell containing the excluded point is never "far"
-                // in practice because the probe sits inside it; the
-                // approximation error this introduces is part of the
-                // Barnes-Hut contract.)
-                force += coulomb(at, cell.centroid, charge * cell.charge, min_dist, exclude as u64);
-            } else {
-                for q in 0..4 {
-                    stack.push(cell.child + q);
-                }
-            }
-        }
-        force
-    }
-
-    /// [`repulsion`](QuadTree::repulsion) plus a work tally: the number
-    /// of Coulomb evaluations performed (leaf points + macro-cells the
-    /// opening-angle test accepted). The observability layer compares
-    /// this against the naive `n·(n-1)` pair count to show the paper's
-    /// Barnes-Hut trade-off (§3.3) as a live metric instead of a claim.
-    ///
-    /// Kept separate from the uncounted query so the metrics-off hot
-    /// path carries no tally arithmetic at all.
-    pub fn repulsion_counted(
         &self,
         at: Vec2,
         charge: f64,
@@ -231,6 +185,7 @@ impl QuadTree {
         }
         let mut force = Vec2::default();
         let mut visits = 0u64;
+        // Explicit stack to avoid recursion overhead.
         let mut stack = vec![0usize];
         while let Some(ci) = stack.pop() {
             let cell = &self.cells[ci];
@@ -247,6 +202,11 @@ impl QuadTree {
             }
             let d = at.distance(cell.centroid);
             if cell.half * 2.0 < theta * d {
+                // Far enough: treat the cell as a single macro-charge.
+                // (A cell containing the excluded point is never "far"
+                // in practice because the probe sits inside it; the
+                // approximation error this introduces is part of the
+                // Barnes-Hut contract.)
                 force += coulomb(at, cell.centroid, charge * cell.charge, min_dist, exclude as u64);
                 visits += 1;
             } else {
@@ -319,14 +279,14 @@ mod tests {
         assert_eq!(t.total_charge(), 0.0);
         assert_eq!(
             t.repulsion(Vec2::new(1.0, 1.0), 1.0, usize::MAX, 0.7, 0.01),
-            Vec2::default()
+            (Vec2::default(), 0)
         );
     }
 
     #[test]
     fn single_point_repels_probe() {
         let t = QuadTree::build(&[(Vec2::new(0.0, 0.0), 2.0)]);
-        let f = t.repulsion(Vec2::new(3.0, 0.0), 1.0, usize::MAX, 0.7, 0.01);
+        let (f, _) = t.repulsion(Vec2::new(3.0, 0.0), 1.0, usize::MAX, 0.7, 0.01);
         // Magnitude 2/9 along +x.
         assert!((f.x - 2.0 / 9.0).abs() < 1e-12);
         assert_eq!(f.y, 0.0);
@@ -346,7 +306,7 @@ mod tests {
         let t = QuadTree::build(&pts);
         for (i, &(p, q)) in pts.iter().enumerate() {
             let exact = naive_repulsion(&pts, p, q, i, 0.01);
-            let approx = t.repulsion(p, q, i, 0.0, 0.01);
+            let (approx, _) = t.repulsion(p, q, i, 0.0, 0.01);
             assert!(
                 (exact - approx).length() < 1e-9 * exact.length().max(1.0),
                 "mismatch at {i}: {exact:?} vs {approx:?}"
@@ -371,7 +331,7 @@ mod tests {
         let mut worst = 0.0f64;
         let mut total = 0.0f64;
         for (i, &(p, q)) in pts.iter().enumerate() {
-            let approx = t.repulsion(p, q, i, 0.5, 0.01);
+            let (approx, _) = t.repulsion(p, q, i, 0.5, 0.01);
             let err = (exact[i] - approx).length();
             worst = worst.max(err);
             total += err;
@@ -397,7 +357,7 @@ mod tests {
         let t = QuadTree::build(&pts);
         assert!((t.total_charge() - 10.0).abs() < 1e-9);
         // A probe elsewhere feels all ten charges.
-        let f = t.repulsion(Vec2::new(4.0, 1.0), 1.0, usize::MAX, 0.7, 0.01);
+        let (f, _) = t.repulsion(Vec2::new(4.0, 1.0), 1.0, usize::MAX, 0.7, 0.01);
         assert!((f.x - 10.0 / 9.0).abs() < 1e-6);
     }
 
@@ -414,14 +374,12 @@ mod tests {
     }
 
     #[test]
-    fn counted_repulsion_matches_uncounted_and_beats_naive() {
+    fn repulsion_visits_prune_below_naive() {
         let pts = random_points(400, 5);
         let t = QuadTree::build(&pts);
         let mut total_visits = 0u64;
         for (i, &(p, q)) in pts.iter().enumerate() {
-            let plain = t.repulsion(p, q, i, 0.7, 0.01);
-            let (counted, visits) = t.repulsion_counted(p, q, i, 0.7, 0.01);
-            assert_eq!(plain, counted, "tally must not change the force at {i}");
+            let (_, visits) = t.repulsion(p, q, i, 0.7, 0.01);
             assert!(visits > 0 && visits < pts.len() as u64);
             total_visits += visits;
         }
@@ -431,7 +389,7 @@ mod tests {
             "θ=0.7 should prune well below naive: {total_visits} vs {naive_pairs}"
         );
         // θ=0 degrades to exactly the naive pair count.
-        let (_, exact_visits) = t.repulsion_counted(pts[0].0, pts[0].1, 0, 0.0, 0.01);
+        let (_, exact_visits) = t.repulsion(pts[0].0, pts[0].1, 0, 0.0, 0.01);
         assert_eq!(exact_visits, pts.len() as u64 - 1);
     }
 

@@ -324,58 +324,32 @@ impl Recorder {
     /// `stats {"reset": true}` protocol command, so closed-loop benches
     /// can measure per-window rates without restarting the server.
     pub fn snapshot_and_reset(&self) -> Snapshot {
-        let Some(inner) = &self.inner else {
-            return Snapshot::default();
-        };
-        let counters = inner
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, core)| (name.clone(), core.0.swap(0, Ordering::Relaxed)))
-            .collect();
-        let gauges = inner
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, core)| (name.clone(), f64::from_bits(core.0.load(Ordering::Relaxed))))
-            .collect();
-        let histograms = inner
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, core)| HistogramSnapshot {
-                name: name.clone(),
-                count: core.count.swap(0, Ordering::Relaxed),
-                sum: f64::from_bits(core.sum_bits.swap(0.0f64.to_bits(), Ordering::Relaxed)),
-                buckets: core.buckets.iter().map(|b| b.swap(0, Ordering::Relaxed)).collect(),
-            })
-            .collect();
-        let log = inner.events.lock().unwrap();
-        Snapshot {
-            clock: inner.clock.load(Ordering::Relaxed),
-            counters,
-            gauges,
-            histograms,
-            events: log.buf.iter().cloned().collect(),
-            events_dropped: log.dropped,
-        }
+        self.read(true)
     }
 
     /// A deterministic, name-sorted copy of every registered metric and
     /// the current event-log contents.
     pub fn snapshot(&self) -> Snapshot {
+        self.read(false)
+    }
+
+    /// The one snapshot reader: with `reset`, counters and histograms
+    /// are swapped to zero as they are read instead of loaded.
+    fn read(&self, reset: bool) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
+        };
+        // `0.0f64.to_bits()` is 0, so one swap value zeros both the
+        // integer tallies and the histogram's f64 sum.
+        let take = |a: &AtomicU64| {
+            if reset { a.swap(0, Ordering::Relaxed) } else { a.load(Ordering::Relaxed) }
         };
         let counters = inner
             .counters
             .lock()
             .unwrap()
             .iter()
-            .map(|(name, core)| (name.clone(), core.0.load(Ordering::Relaxed)))
+            .map(|(name, core)| (name.clone(), take(&core.0)))
             .collect();
         let gauges = inner
             .gauges
@@ -391,9 +365,9 @@ impl Recorder {
             .iter()
             .map(|(name, core)| HistogramSnapshot {
                 name: name.clone(),
-                count: core.count.load(Ordering::Relaxed),
-                sum: f64::from_bits(core.sum_bits.load(Ordering::Relaxed)),
-                buckets: core.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+                count: take(&core.count),
+                sum: f64::from_bits(take(&core.sum_bits)),
+                buckets: core.buckets.iter().map(take).collect(),
             })
             .collect();
         let log = inner.events.lock().unwrap();

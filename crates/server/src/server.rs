@@ -48,7 +48,7 @@ use viva_layout::Vec2;
 use viva_obs::{Recorder, SpanGuard, SpanId, Tracer};
 use viva_trace::{
     live, write_atomic, ContainerId, JournalConfig, JournalWriter, LiveLine, RecoveryMode,
-    ResourceBudget, TraceError, TraceLoader,
+    ResourceBudget, Trace, TraceError, TraceLoader,
 };
 
 use crate::checkpoint::{checkpoint_file_name, SessionCheckpoint};
@@ -624,11 +624,12 @@ impl Server {
         }
     }
 
-    /// The `protocol` error for a request line of `len` bytes, over
-    /// [`ServerLimits::max_line_bytes`].
-    pub(crate) fn line_too_long(&self, len: usize) -> Response {
+    /// The `protocol` error for a request line over
+    /// [`ServerLimits::max_line_bytes`]. It names only the limit, so
+    /// the answer does not depend on how much of the line was buffered.
+    pub(crate) fn line_too_long(&self) -> Response {
         let max = self.registry.limits().max_line_bytes;
-        err(ErrorKind::Protocol, format!("request line of {len} bytes exceeds the {max}-byte limit"))
+        err(ErrorKind::Protocol, format!("request line exceeds the {max}-byte limit"))
     }
 
     /// Handles one raw request line. Returns `None` for blank lines
@@ -649,7 +650,7 @@ impl Server {
             return None;
         }
         if trimmed.len() > self.registry.limits().max_line_bytes {
-            return Some(self.line_too_long(trimmed.len()).encode());
+            return Some(self.line_too_long().encode());
         }
         // Decode is timed only when tracing is on: the duration becomes
         // the root span's back-dated `frame.decode` child (the root
@@ -1288,12 +1289,12 @@ impl Server {
         Response::Appended { session: name.to_owned(), seq, revision, duplicate: false }
     }
 
-    /// Loads live-stream text into a fresh analysis session. Live
-    /// content is *defined* as the lenient, unbudgeted load of the
-    /// acked texts in sequence order — the rebuild path and crash
+    /// Loads live-stream text into a trace and its index. Live content
+    /// is *defined* as the lenient, unbudgeted load of the acked texts
+    /// in sequence order — the first append, the rebuild path and crash
     /// recovery agree with the incremental path because all three are
     /// this function (or the classifier that mirrors it line-exactly).
-    fn build_live_analysis(&self, text: &str, recorder: &Recorder) -> AnalysisSession {
+    fn load_live(text: &str, recorder: &Recorder) -> (Arc<Trace>, Arc<AggIndex>) {
         let loader = TraceLoader::new()
             .mode(RecoveryMode::Lenient)
             .budget(ResourceBudget::unlimited())
@@ -1303,10 +1304,14 @@ impl Server {
             .expect("a lenient load with an unlimited budget recovers from anything");
         let trace = Arc::new(report.trace);
         let index = Arc::new(AggIndex::build_observed(&trace, recorder));
-        AnalysisSession::builder(Arc::clone(&trace))
-            .shared_index(index)
-            .recorder(recorder.clone())
-            .build()
+        (trace, index)
+    }
+
+    /// Loads live-stream text into a fresh analysis session (see
+    /// [`Server::load_live`]).
+    fn build_live_analysis(&self, text: &str, recorder: &Recorder) -> AnalysisSession {
+        let (trace, index) = Self::load_live(text, recorder);
+        AnalysisSession::builder(trace).shared_index(index).recorder(recorder.clone()).build()
     }
 
     /// Opens the journal for a new live session, or `None` when the
@@ -1382,19 +1387,10 @@ impl Server {
     /// [`AnalysisSession::rebase`].
     fn rebuild_live(&self, s: &mut ServerSession) {
         self.note("server.live_rebuilds");
-        let recorder = s.analysis.recorder().clone();
-        let loader = TraceLoader::new()
-            .mode(RecoveryMode::Lenient)
-            .budget(ResourceBudget::unlimited())
-            .recorder(recorder.clone());
         let live = s.live.as_mut().expect("live session");
-        let report = loader
-            .load_str(&live.text)
-            .expect("a lenient load with an unlimited budget recovers from anything");
-        let trace = Arc::new(report.trace);
-        let index = Arc::new(AggIndex::build_observed(&trace, &recorder));
+        let (trace, index) = Self::load_live(&live.text, s.analysis.recorder());
         live.span = live::span_after(&live.text);
-        s.analysis.rebase(trace, Some(index));
+        s.analysis.rebase(trace, index);
     }
 
     /// Publishes one applied append to the session's subscribers:

@@ -13,8 +13,7 @@
 //!
 //! Since the rules live in one place, a transcript depends neither on
 //! the transport nor on how the peer's bytes were split into reads, as
-//! long as every line fits `max_line_bytes` and the connection owes
-//! less than the write high-water mark.
+//! long as the connection owes less than the write high-water mark.
 
 use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -48,10 +47,11 @@ const WRITE_HIGH_WATER: usize = 8 << 20;
 /// * a **torn frame** — bytes left without a newline at
 ///   [EOF](Self::eof), a client that died mid-command — is never
 ///   executed: it is dropped and counted (`server.torn_frames`);
-/// * an unterminated fragment longer than
-///   [`max_line_bytes`](crate::ServerLimits::max_line_bytes) can never
-///   become a legal frame: it is answered with one `protocol` error
-///   and the connection closes;
+/// * a line longer than
+///   [`max_line_bytes`](crate::ServerLimits::max_line_bytes) — a
+///   complete frame, or an unterminated fragment that can never become
+///   a legal one — is answered with one `protocol` error and the
+///   connection closes, however its bytes were split;
 /// * a frame that is not UTF-8 closes the connection;
 /// * once a **drain** starts, the connection closes after the
 ///   in-flight response.
@@ -105,6 +105,7 @@ impl<'s> FrameConn<'s> {
             return Ok(());
         }
         self.read_buf.extend_from_slice(bytes);
+        let max_line_bytes = self.server.registry().limits().max_line_bytes;
         let mut result = Ok(());
         let mut consumed = 0;
         while !self.close_after_flush {
@@ -112,6 +113,11 @@ impl<'s> FrameConn<'s> {
             let Some(rel) = self.read_buf[from..].iter().position(|&b| b == b'\n') else { break };
             let frame = &self.read_buf[consumed..=from + rel];
             consumed = from + rel + 1;
+            if frame.len() - 1 > max_line_bytes {
+                owe(&mut self.write_buf, &self.server.line_too_long().encode());
+                self.close_after_flush = true;
+                break;
+            }
             let Ok(text) = std::str::from_utf8(frame) else {
                 self.close_after_flush = true;
                 result = Err(io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"));
@@ -128,9 +134,8 @@ impl<'s> FrameConn<'s> {
         self.read_buf.drain(..consumed);
         if self.close_after_flush {
             self.read_buf.clear();
-        } else if self.read_buf.len() > self.server.registry().limits().max_line_bytes {
-            let response = self.server.line_too_long(self.read_buf.len());
-            owe(&mut self.write_buf, &response.encode());
+        } else if self.read_buf.len() > max_line_bytes {
+            owe(&mut self.write_buf, &self.server.line_too_long().encode());
             self.read_buf.clear();
             self.close_after_flush = true;
         }
@@ -203,7 +208,7 @@ fn owe(buf: &mut Vec<u8>, line: &str) {
 
 impl Server {
     /// Serves one connection over `reader`/`writer` until EOF or until
-    /// the connection closes (drain, oversize fragment). Each batch
+    /// the connection closes (drain, oversize line). Each batch
     /// `fill_buf` returns is fed whole; what it owes is written and
     /// flushed before the next read.
     ///

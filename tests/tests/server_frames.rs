@@ -5,10 +5,11 @@
 //!    where each subscription push lands.
 //! 2. **Stdio replays** — every checked-in golden replays through
 //!    [`Server::serve`], whatever the size of the reader's buffer.
-//! 3. **Stdio edge cases** — an unterminated fragment over
-//!    `max_line_bytes` gets one `protocol` error and closes the
-//!    connection. A frame that is not UTF-8 ends `serve` with
-//!    `InvalidData` after the frames before it are answered.
+//! 3. **Stdio edge cases** — a line over `max_line_bytes` gets one
+//!    `protocol` error and closes the connection, whether it arrives
+//!    whole or as a growing fragment. A frame that is not UTF-8 ends
+//!    `serve` with `InvalidData` after the frames before it are
+//!    answered.
 
 use std::io::{self, BufReader};
 
@@ -96,25 +97,31 @@ fn torn_frames(server: &Server) -> u64 {
 /// fragment was answered, so it is not counted as torn.
 #[test]
 fn stdio_oversize_fragment_gets_one_protocol_error_then_closes() {
-    let server =
-        Server::with_metrics(ServerLimits { max_line_bytes: 64, ..ServerLimits::default() });
     let ping = format!("{}\n", Command::Ping.encode());
     let input = format!("{ping}{}\n{ping}", "x".repeat(200));
-    let mut out = Vec::new();
-    server
-        .serve(BufReader::with_capacity(16, input.as_bytes()), &mut out)
-        .expect("a protocol error is not an I/O error");
-    let out = String::from_utf8(out).expect("utf8");
+    // A 16-byte reader sees the line as a growing fragment; an 8 KiB
+    // reader sees it as one complete frame. Both get the same answer.
+    let serve = |capacity: usize| {
+        let server =
+            Server::with_metrics(ServerLimits { max_line_bytes: 64, ..ServerLimits::default() });
+        let mut out = Vec::new();
+        server
+            .serve(BufReader::with_capacity(capacity, input.as_bytes()), &mut out)
+            .expect("a protocol error is not an I/O error");
+        assert_eq!(torn_frames(&server), 0);
+        String::from_utf8(out).expect("utf8")
+    };
+    let out = serve(16);
+    assert_eq!(out, serve(8 << 10), "the answer must not depend on the byte split");
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 2, "{out}");
     assert!(matches!(Response::decode(lines[0]), Ok(Response::Pong)), "{out}");
     match Response::decode(lines[1]) {
         Ok(Response::Error { kind: ErrorKind::Protocol, message }) => {
-            assert!(message.contains("exceeds the 64-byte limit"), "{message}");
+            assert_eq!(message, "request line exceeds the 64-byte limit");
         }
         other => panic!("{other:?}"),
     }
-    assert_eq!(torn_frames(&server), 0);
 }
 
 #[test]
