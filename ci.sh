@@ -199,6 +199,17 @@ target/release/viva-server --stdio --self-trace /tmp/viva_selftrace_2 \
 diff -u tests/data/server_session.golden /tmp/viva_server_smoke_selftrace_1.ndjson
 diff -u /tmp/viva_selftrace_1/selftrace.csv /tmp/viva_selftrace_2/selftrace.csv
 target/release/viva-server --check-trace /tmp/viva_selftrace_1/selftrace.csv
+# Metrics and tracing together (one phase feeds both): the transcript
+# still matches the golden, the export still passes the ingest bar, and
+# the dump carries the phase histograms that used to be spans only.
+rm -rf /tmp/viva_selftrace_both
+target/release/viva-server --stdio --self-trace /tmp/viva_selftrace_both \
+  --trace-seed 42 --trace-sample 1 --metrics-out /tmp/viva_server_smoke_both_metrics.txt \
+  < tests/data/server_session.script > /tmp/viva_server_smoke_both.ndjson
+diff -u tests/data/server_session.golden /tmp/viva_server_smoke_both.ndjson
+target/release/viva-server --check-trace /tmp/viva_selftrace_both/selftrace.csv
+grep -q 'viva_hist_count{scope="server",name="session.lock.seconds"}' \
+  /tmp/viva_server_smoke_both_metrics.txt
 cargo run --quiet --release -p viva-bench --bin fig_obs -- --small > /dev/null
 
 echo "==> fuzz-smoke: adversarial ingest corpus, both recovery modes"

@@ -20,7 +20,7 @@
 //! summation order — and therefore every query result — is
 //! reproducible run to run.
 
-use viva_obs::{Counter, Histogram, Recorder};
+use viva_obs::{Counter, Recorder};
 use viva_trace::{ContainerId, MetricId, SamplePrior, Signal, Trace};
 
 use crate::multiscale::GroupAggregate;
@@ -102,7 +102,7 @@ pub struct AggIndex {
     /// Pre-order container sequence (`order[tin[c] as usize] == c`).
     order: Vec<ContainerId>,
     metrics: Vec<MetricIndex>,
-    /// Cached query-metric handles; `None` until a live recorder is
+    /// Cached query-metric handles; `None` until an active recorder is
     /// wired via [`set_recorder`](AggIndex::set_recorder).
     obs: Option<Box<AggObs>>,
 }
@@ -126,9 +126,9 @@ struct AggObs {
     /// `agg.index.queries` — slice queries answered (integrate /
     /// try_mean / aggregate).
     queries: Counter,
-    /// `agg.index.aggregate.seconds` — wall clock of the full §6
-    /// per-group aggregate (the `O(k log n)` query).
-    aggregate_seconds: Histogram,
+    /// Times the `agg.index.aggregate` phase: the full §6 per-group
+    /// aggregate (the `O(k log n)` query).
+    recorder: Recorder,
 }
 
 impl AggIndex {
@@ -159,13 +159,12 @@ impl AggIndex {
     }
 
     /// [`build`](AggIndex::build) with observability: the build is
-    /// timed into `agg.index.build.seconds`, counted in
-    /// `agg.index.builds`, and the returned index reports its queries
-    /// into `recorder` (see [`set_recorder`](AggIndex::set_recorder)).
+    /// the `agg.index.build` phase, counted in `agg.index.builds`, and
+    /// the returned index reports its queries into `recorder` (see
+    /// [`set_recorder`](AggIndex::set_recorder)).
     pub fn build_observed(trace: &Trace, recorder: &Recorder) -> AggIndex {
         let mut idx = {
-            let _span = recorder.span("agg.index.build.seconds");
-            let _phase = recorder.tracer().phase("agg.build");
+            let _phase = recorder.phase("agg.index.build");
             AggIndex::build(trace)
         };
         recorder.counter("agg.index.builds").inc();
@@ -173,15 +172,14 @@ impl AggIndex {
         idx
     }
 
-    /// Wires an observability recorder into the query paths. A disabled
-    /// recorder is discarded entirely, restoring the uninstrumented
-    /// fast path.
+    /// Wires an observability recorder into the query paths. An
+    /// inactive recorder is discarded entirely, restoring the
+    /// uninstrumented fast path.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.obs = recorder.is_enabled().then(|| {
-            Box::new(AggObs {
-                queries: recorder.counter("agg.index.queries"),
-                aggregate_seconds: recorder.histogram("agg.index.aggregate.seconds"),
-            })
+        self.obs = recorder.is_active().then(|| {
+            // Registered now so `stats` lists it before the first query.
+            recorder.histogram("agg.index.aggregate.seconds");
+            Box::new(AggObs { queries: recorder.counter("agg.index.queries"), recorder })
         });
     }
 
@@ -604,9 +602,9 @@ impl AggIndex {
         group: ContainerId,
         slice: TimeSlice,
     ) -> GroupAggregate {
-        let _timer = self.obs.as_ref().map(|obs| {
+        let _phase = self.obs.as_ref().map(|obs| {
             obs.queries.inc();
-            obs.aggregate_seconds.start_timer()
+            obs.recorder.phase("agg.index.aggregate")
         });
         let width = slice.width();
         let mut integral = 0.0;

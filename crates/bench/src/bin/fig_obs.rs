@@ -28,10 +28,11 @@
 use std::time::Instant;
 
 use viva::Theme;
+use viva_bench::grid_trace_csv;
 use viva_obs::{Recorder, Tracer};
 use viva_server::protocol::{Command, Response};
 use viva_server::{Server, ServerLimits};
-use viva_trace::{ContainerKind, RecoveryMode, TraceBuilder};
+use viva_trace::RecoveryMode;
 
 #[derive(Clone, Copy)]
 struct Scale {
@@ -44,29 +45,6 @@ struct Scale {
 
 const FULL: Scale = Scale { clusters: 4, hosts: 12, steps: 80, rounds: 60, repeats: 6 };
 const SMALL: Scale = Scale { clusters: 2, hosts: 3, steps: 10, rounds: 4, repeats: 1 };
-
-/// Same exactly-representable trace family as `fig_server`.
-fn trace_csv(s: &Scale) -> String {
-    let mut b = TraceBuilder::new();
-    let power = b.metric("power", "MFlop/s");
-    let used = b.metric("power_used", "MFlop/s");
-    for ci in 0..s.clusters {
-        let cluster = b
-            .new_container(b.root(), format!("cl{ci}"), ContainerKind::Cluster)
-            .expect("cluster");
-        for hi in 0..s.hosts {
-            let host = b
-                .new_container(cluster, format!("cl{ci}-h{hi}"), ContainerKind::Host)
-                .expect("host");
-            b.set_variable(0.0, host, power, 100.0).expect("power");
-            for t in 0..=s.steps {
-                let v = (((t + (ci * s.hosts + hi) * 3) % 7) * 10) as f64;
-                b.set_variable(t as f64, host, used, v).expect("used");
-            }
-        }
-    }
-    viva_trace::export::to_csv(&b.finish(s.steps as f64))
-}
 
 /// Drives the closed loop against one server. Returns commands issued.
 fn drive(server: &Server, csv: &str, scale: &Scale) -> u64 {
@@ -212,7 +190,7 @@ fn check_counts(server: &Server, commands: u64) {
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
     let scale = if small { SMALL } else { FULL };
-    let csv = trace_csv(&scale);
+    let csv = grid_trace_csv(scale.clusters, scale.hosts, scale.steps);
     println!(
         "Obs overhead: {} hosts, {} rounds, best of {} ({} mode)",
         scale.clusters * scale.hosts,

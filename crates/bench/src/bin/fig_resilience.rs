@@ -30,8 +30,9 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use viva::Theme;
+use viva_bench::{grid_trace_csv, percentile};
 use viva_server::{Command, ErrorKind, Response, Server, ServerLimits};
-use viva_trace::{ContainerKind, RecoveryMode, TraceBuilder};
+use viva_trace::RecoveryMode;
 
 #[derive(Clone, Copy)]
 struct Scale {
@@ -73,38 +74,6 @@ const SMALL: Scale = Scale {
 /// beyond it (capped so the full run stays comparable across hosts).
 fn gate_width() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
-}
-
-/// The benchmark trace, as CSV interchange text (exactly representable
-/// values, deterministic responses).
-fn trace_csv(s: &Scale) -> String {
-    let mut b = TraceBuilder::new();
-    let power = b.metric("power", "MFlop/s");
-    let used = b.metric("power_used", "MFlop/s");
-    for ci in 0..s.clusters {
-        let cluster = b
-            .new_container(b.root(), format!("cl{ci}"), ContainerKind::Cluster)
-            .expect("cluster");
-        for hi in 0..s.hosts {
-            let host = b
-                .new_container(cluster, format!("cl{ci}-h{hi}"), ContainerKind::Host)
-                .expect("host");
-            b.set_variable(0.0, host, power, 100.0).expect("power");
-            for t in 0..=s.steps {
-                let v = (((t + (ci * s.hosts + hi) * 3) % 7) * 10) as f64;
-                b.set_variable(t as f64, host, used, v).expect("used");
-            }
-        }
-    }
-    viva_trace::export::to_csv(&b.finish(s.steps as f64))
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// An admitted attempt's latency; shed attempts are retried after the
@@ -344,7 +313,7 @@ fn run_restore(csv: &str, scale: &Scale) -> (f64, f64) {
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
     let scale = Scale { max_inflight: gate_width(), ..if small { SMALL } else { FULL } };
-    let csv = trace_csv(&scale);
+    let csv = grid_trace_csv(scale.clusters, scale.hosts, scale.steps);
     println!(
         "Resilience: {} hosts, {} rounds/client, gate {} in-flight, think {} ms ({} mode)",
         scale.clusters * scale.hosts,

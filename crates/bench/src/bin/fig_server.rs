@@ -42,9 +42,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use viva::Theme;
+use viva_bench::{grid_trace_csv, percentile};
 use viva_server::protocol::Command;
 use viva_server::{Server, ServerLimits};
-use viva_trace::{ContainerKind, RecoveryMode, TraceBuilder};
+use viva_trace::RecoveryMode;
 
 #[derive(Clone, Copy)]
 struct Scale {
@@ -77,30 +78,6 @@ const MULTIPLEX_FROM: usize = 64;
 /// Rounds per session in the multiplexed runs (the per-session script
 /// is shorter so the total command count stays bounded).
 const MULTIPLEX_ROUNDS: usize = 8;
-
-/// The trace every session shares, as CSV interchange text. Values are
-/// exactly representable so responses are deterministic across runs.
-fn trace_csv(s: &Scale) -> String {
-    let mut b = TraceBuilder::new();
-    let power = b.metric("power", "MFlop/s");
-    let used = b.metric("power_used", "MFlop/s");
-    for ci in 0..s.clusters {
-        let cluster = b
-            .new_container(b.root(), format!("cl{ci}"), ContainerKind::Cluster)
-            .expect("cluster");
-        for hi in 0..s.hosts {
-            let host = b
-                .new_container(cluster, format!("cl{ci}-h{hi}"), ContainerKind::Host)
-                .expect("host");
-            b.set_variable(0.0, host, power, 100.0).expect("power");
-            for t in 0..=s.steps {
-                let v = (((t + (ci * s.hosts + hi) * 3) % 7) * 10) as f64;
-                b.set_variable(t as f64, host, used, v).expect("used");
-            }
-        }
-    }
-    viva_trace::export::to_csv(&b.finish(s.steps as f64))
-}
 
 fn send(server: &Server, commands: &mut u64, cmd: &Command) -> String {
     let line = cmd.encode();
@@ -200,14 +177,6 @@ fn drive_many(
     (commands, fresh, cached)
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 struct RunResult {
     sessions: usize,
     commands_per_sec: f64,
@@ -298,7 +267,7 @@ fn run(n: usize, csv: &str, scale: &Scale) -> RunResult {
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
     let scale = if small { SMALL } else { FULL };
-    let csv = trace_csv(&scale);
+    let csv = grid_trace_csv(scale.clusters, scale.hosts, scale.steps);
     println!(
         "Server: {} hosts, {} rounds/client ({} mode)",
         scale.clusters * scale.hosts,

@@ -25,6 +25,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use viva::Theme;
+use viva_bench::percentile;
 use viva_server::{Command, Push, Response, Server, ServerLimits};
 
 #[derive(Clone, Copy)]
@@ -104,14 +105,6 @@ fn render(server: &Server) -> String {
         Response::Frame { svg, .. } => svg,
         other => panic!("render failed: {other:?}"),
     }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 struct RunResult {

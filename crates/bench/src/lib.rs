@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 
 use viva_platform::{HostId, Platform, RouteTable};
-use viva_trace::{ContainerId, ContainerKind, Trace};
+use viva_trace::{ContainerId, ContainerKind, Trace, TraceBuilder};
 
 /// Directory where harness binaries drop SVG snapshots.
 pub fn figures_dir() -> PathBuf {
@@ -27,6 +27,43 @@ pub fn save_svg(name: &str, svg: &str) {
     let path = figures_dir().join(name);
     std::fs::write(&path, svg).expect("write svg");
     println!("  [svg] {}", path.display());
+}
+
+/// The serving benchmarks' trace as CSV interchange text: `clusters`
+/// clusters `cl<i>` of `hosts` hosts `cl<i>-h<j>`, each with a constant
+/// `power` and a `power_used` that steps through multiples of 10 over
+/// `steps` unit steps. The values are exactly representable, so
+/// responses are deterministic across runs.
+pub fn grid_trace_csv(clusters: usize, hosts: usize, steps: usize) -> String {
+    let mut b = TraceBuilder::new();
+    let power = b.metric("power", "MFlop/s");
+    let used = b.metric("power_used", "MFlop/s");
+    for ci in 0..clusters {
+        let cluster = b
+            .new_container(b.root(), format!("cl{ci}"), ContainerKind::Cluster)
+            .expect("cluster");
+        for hi in 0..hosts {
+            let host = b
+                .new_container(cluster, format!("cl{ci}-h{hi}"), ContainerKind::Host)
+                .expect("host");
+            b.set_variable(0.0, host, power, 100.0).expect("power");
+            for t in 0..=steps {
+                let v = (((t + (ci * hosts + hi) * 3) % 7) * 10) as f64;
+                b.set_variable(t as f64, host, used, v).expect("used");
+            }
+        }
+    }
+    viva_trace::export::to_csv(&b.finish(steps as f64))
+}
+
+/// The `p`-th percentile (0–100) of an ascending sample, by nearest
+/// rank; 0 for an empty sample.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Prints a simple aligned table.

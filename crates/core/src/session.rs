@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use viva_agg::{AggIndex, GroupAggregate, TimeSlice, TimeSliceError, ViewState};
 use viva_layout::{FreezeReason, LayoutConfig, LayoutEngine, NodeKey, Vec2};
-use viva_obs::{Counter, Histogram, Recorder};
+use viva_obs::{Counter, Recorder};
 use viva_platform::Platform;
 use viva_trace::{ContainerId, MetricId, Trace, TraceError};
 
@@ -143,7 +143,7 @@ pub struct AnalysisSession {
     /// reports into; disabled by default.
     recorder: Recorder,
     /// Cached session-level metric handles, `None` when the recorder is
-    /// disabled.
+    /// inactive.
     obs: Option<Box<SessionObs>>,
     /// Test builds only: regroup with the original pairwise scan (see
     /// the tests), the oracle the linear regroup must match bit for bit.
@@ -163,11 +163,9 @@ struct SessionObs {
     /// `session.cache.invalidated` — aggregate-cache entries dropped by
     /// mutations (the cost side of the per-node view cache).
     invalidated: Counter,
-    /// `session.views` + `session.view.seconds` — scene recomputations.
+    /// `session.views` — scene recomputations, each a `session.view`
+    /// phase.
     views: Counter,
-    view_seconds: Histogram,
-    /// `session.render.seconds` — SVG generation on top of the view.
-    render_seconds: Histogram,
     /// `session.relax.steps` — layout steps driven through
     /// [`AnalysisSession::relax`].
     relax_steps: Counter,
@@ -175,14 +173,15 @@ struct SessionObs {
 
 impl SessionObs {
     fn new(recorder: &Recorder) -> SessionObs {
+        // Registered now so `stats` lists them before the first view.
+        recorder.histogram("session.view.seconds");
+        recorder.histogram("session.render.seconds");
         SessionObs {
             slice_changes: recorder.counter("session.slice_changes"),
             collapses: recorder.counter("session.collapses"),
             expands: recorder.counter("session.expands"),
             invalidated: recorder.counter("session.cache.invalidated"),
             views: recorder.counter("session.views"),
-            view_seconds: recorder.histogram("session.view.seconds"),
-            render_seconds: recorder.histogram("session.render.seconds"),
             relax_steps: recorder.counter("session.relax.steps"),
         }
     }
@@ -318,7 +317,7 @@ impl SessionBuilder {
             shared_index.unwrap_or_else(|| Arc::new(AggIndex::build_observed(&trace, &recorder)));
         let mut layout = LayoutEngine::new(config.layout, config.seed);
         layout.set_recorder(recorder.clone());
-        let obs = recorder.is_enabled().then(|| Box::new(SessionObs::new(&recorder)));
+        let obs = recorder.is_active().then(|| Box::new(SessionObs::new(&recorder)));
         let mut session = AnalysisSession {
             layout,
             mapping: config.mapping,
@@ -880,7 +879,6 @@ impl AnalysisSession {
     /// Runs up to `steps` layout iterations (stops early on
     /// convergence). Returns the number of steps executed.
     pub fn relax(&mut self, steps: usize) -> usize {
-        let _phase = self.recorder.tracer().phase("layout.step");
         let executed = self.layout.run(steps, 1e-4);
         if executed > 0 {
             if let Some(obs) = &self.obs {
@@ -968,9 +966,9 @@ impl AnalysisSession {
     /// the last view; missing entries are computed through the
     /// aggregation index (`O(log n)` per query).
     pub fn view(&self) -> GraphView {
-        let _timer = self.obs.as_ref().map(|obs| {
+        let _phase = self.obs.as_ref().map(|obs| {
             obs.views.inc();
-            obs.view_seconds.start_timer()
+            self.recorder.phase("session.view")
         });
         let mut cache = self.cache.borrow_mut();
         build_view_cached(
@@ -1026,7 +1024,7 @@ impl AnalysisSession {
         });
         let proj = svg::Projection::fit_camera(bounds, &opts, camera);
         let cut = {
-            let _phase = self.recorder.tracer().phase("lod.cut");
+            let _phase = self.recorder.phase("lod.cut");
             lod::cut(
                 tree,
                 &self.frontier,
@@ -1062,14 +1060,12 @@ impl AnalysisSession {
         match viewport.camera {
             None => {
                 let view = self.view();
-                let _timer = self.obs.as_ref().map(|obs| obs.render_seconds.start_timer());
-                let _phase = self.recorder.tracer().phase("svg.encode");
+                let _phase = self.recorder.phase("session.render");
                 svg::render(&view, &svg::SvgOptions::from(viewport))
             }
             Some(cam) => {
                 let (view, proj) = self.lod_scene(&cam, viewport);
-                let _timer = self.obs.as_ref().map(|obs| obs.render_seconds.start_timer());
-                let _phase = self.recorder.tracer().phase("svg.encode");
+                let _phase = self.recorder.phase("session.render");
                 svg::render_projected(&view, &svg::SvgOptions::from(viewport), &proj)
             }
         }
@@ -1088,7 +1084,6 @@ impl AnalysisSession {
     /// container id; a *known* group with no surviving data yields an
     /// aggregate with [`GroupAggregate::is_empty`] set.
     pub fn aggregate(&self, metric: &str, group: ContainerId) -> Result<GroupAggregate, SessionError> {
-        let _phase = self.recorder.tracer().phase("agg.query");
         self.check_container(group)?;
         let m = self
             .trace

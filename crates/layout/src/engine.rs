@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use viva_obs::{Counter, Gauge, Histogram, Recorder};
+use viva_obs::{Counter, Gauge, Recorder};
 
 use crate::forces::{spring_force, LayoutConfig};
 use crate::quadtree::{naive_repulsion, QuadTree};
@@ -95,9 +95,9 @@ pub struct LayoutEngine {
     step_budget: Option<Duration>,
     /// Consecutive steps whose max displacement rode the cap.
     at_cap_streak: u32,
-    /// Cached metric handles; `None` until a live recorder is wired via
-    /// [`set_recorder`](LayoutEngine::set_recorder), keeping the
-    /// metrics-off hot path free of even the no-op handle calls.
+    /// Cached metric handles; `None` until an active recorder is wired
+    /// via [`set_recorder`](LayoutEngine::set_recorder), keeping the
+    /// observability-off hot path free of even the no-op handle calls.
     obs: Option<Box<LayoutObs>>,
 }
 
@@ -105,6 +105,7 @@ pub struct LayoutEngine {
 /// lookup per step would dwarf the cost of the metrics themselves).
 #[derive(Debug, Clone)]
 struct LayoutObs {
+    /// Times each step as the `layout.step` phase and logs freezes.
     recorder: Recorder,
     /// `layout.steps` — simulation steps actually executed.
     steps: Counter,
@@ -122,13 +123,12 @@ struct LayoutObs {
     naive_pairs: Counter,
     /// `layout.freezes` — watchdog trips.
     freezes: Counter,
-    /// `layout.step.seconds` — wall-clock per step (exposition only;
-    /// never crosses the wire protocol).
-    step_seconds: Histogram,
 }
 
 impl LayoutObs {
     fn new(recorder: Recorder) -> LayoutObs {
+        // Registered now so `stats` lists it before the first step.
+        recorder.histogram("layout.step.seconds");
         LayoutObs {
             steps: recorder.counter("layout.steps"),
             kinetic: recorder.gauge("layout.kinetic_energy"),
@@ -136,7 +136,6 @@ impl LayoutObs {
             cell_visits: recorder.counter("layout.bh.cell_visits"),
             naive_pairs: recorder.counter("layout.bh.naive_pairs"),
             freezes: recorder.counter("layout.freezes"),
-            step_seconds: recorder.histogram("layout.step.seconds"),
             recorder,
         }
     }
@@ -191,13 +190,13 @@ impl LayoutEngine {
         }
     }
 
-    /// Wires an observability recorder into the engine. Disabled
+    /// Wires an observability recorder into the engine. Inactive
     /// recorders are discarded entirely — the hot path stays exactly
-    /// the uninstrumented one. Enabled recorders get per-step gauges
+    /// the uninstrumented one. Active recorders get per-step gauges
     /// (kinetic energy, max displacement), Barnes-Hut work counters,
-    /// a step wall-clock histogram, and freeze/thaw events.
+    /// the `layout.step` phase, and freeze/thaw events.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.obs = recorder.is_enabled().then(|| Box::new(LayoutObs::new(recorder)));
+        self.obs = recorder.is_active().then(|| Box::new(LayoutObs::new(recorder)));
     }
 
     /// Current parameters.
@@ -574,7 +573,7 @@ impl LayoutEngine {
         if self.frozen.is_some() {
             return 0.0;
         }
-        let _timer = self.obs.as_ref().map(|o| o.step_seconds.start_timer());
+        let _phase = self.obs.as_ref().map(|o| o.recorder.phase("layout.step"));
         let started = self.step_budget.map(|_| Instant::now());
         self.config = self.config.sanitized();
         let points: Vec<(Vec2, f64)> = self.nodes.iter().map(|n| (n.pos, n.charge)).collect();
@@ -595,7 +594,7 @@ impl LayoutEngine {
         if self.frozen.is_some() {
             return 0.0;
         }
-        let _timer = self.obs.as_ref().map(|o| o.step_seconds.start_timer());
+        let _phase = self.obs.as_ref().map(|o| o.recorder.phase("layout.step"));
         let started = self.step_budget.map(|_| Instant::now());
         self.config = self.config.sanitized();
         let cfg = self.config;

@@ -190,7 +190,7 @@ mod tests {
     /// force pass must stay serial there.
     #[test]
     fn default_threshold_keeps_500_hosts_serial() {
-        assert!(crate::engine::PARALLEL_THRESHOLD > 500);
+        const { assert!(crate::engine::PARALLEL_THRESHOLD > 500) };
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! * a **registry of metrics**: monotonic [`Counter`]s, last-value
 //!   [`Gauge`]s, and fixed log-linear [`Histogram`]s (four sub-buckets
 //!   per power-of-two octave, see [`bucket_index`]);
-//! * **span timers** ([`Recorder::span`]) that record wall-clock
-//!   durations into histograms on drop;
+//! * **phases** ([`Recorder::phase`]): the one timing primitive. A
+//!   phase reads the clock once when it opens and once when it drops,
+//!   and feeds both the `<name>.seconds` histogram and, inside a
+//!   sampled trace, a span;
 //! * **causal span traces** ([`Tracer`], the [`span`] module): per-shard
 //!   rings of parent-linked spans with seeded head-sampling, for
 //!   answering "where did this one slow command spend its time?";
@@ -24,9 +26,10 @@
 //!
 //! The unit of wiring is the [`Recorder`]. Its default state is
 //! **disabled**: a `None` inner, so every handle created from it is a
-//! no-op — no allocation, no atomics, and span timers never even read
-//! the clock. Instrumented code holds handles unconditionally and never
-//! branches on "is observability on?"; the handles do.
+//! no-op — no allocation, no atomics — and a phase costs that one
+//! `Option` test and never reads the clock. Instrumented code holds
+//! handles unconditionally and never branches on "is observability
+//! on?"; the handles do.
 //!
 //! ## Determinism contract
 //!
@@ -38,7 +41,7 @@
 //!   quantities like kinetic energy, never wall time), histogram
 //!   *sample counts*, and event sequence numbers / names.
 //! * **Wall-clock (non-deterministic)**: histogram bucket occupancy and
-//!   sums for `*.seconds` span histograms. These are only exported via
+//!   sums for `*.seconds` phase histograms. These are only exported via
 //!   the text exposition, never over the wire protocol.
 //!
 //! Cross-thread updates use relaxed atomic integer addition, which is
@@ -53,7 +56,7 @@ use std::time::Instant;
 mod snapshot;
 pub mod span;
 pub use snapshot::{snapshot_to_text, EventRecord, HistogramSnapshot, Snapshot};
-pub use span::{sample_one_in, SpanGuard, SpanId, SpanRecord, TraceCtx, Tracer, SPAN_CAPACITY};
+pub use span::{sample_one_in, SpanGuard, SpanId, SpanRecord, Tracer, SPAN_CAPACITY};
 
 /// Number of octaves (powers of two) the histogram scale spans.
 pub const OCTAVE_COUNT: usize = 48;
@@ -72,7 +75,7 @@ pub const SUB_BUCKETS: usize = 4;
 pub const BUCKET_COUNT: usize = OCTAVE_COUNT * SUB_BUCKETS;
 
 /// Exponent of the first bucket's upper bound: `2^-30 ≈ 0.93 ns` —
-/// comfortably below anything a span timer can resolve, so the
+/// comfortably below anything a phase can resolve, so the
 /// interesting range `[1 µs, 100 s]` sits in the middle of the scale
 /// with headroom for model quantities (energies, byte counts) too:
 /// the last octave's lower bound is `2^17 = 131072`.
@@ -147,15 +150,17 @@ struct HistogramCore {
     buckets: [AtomicU64; BUCKET_COUNT],
 }
 
-impl HistogramCore {
-    fn new() -> Self {
+impl Default for HistogramCore {
+    fn default() -> Self {
         HistogramCore {
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0.0f64.to_bits()),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
+}
 
+impl HistogramCore {
     fn record(&self, v: f64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
@@ -197,50 +202,85 @@ impl EventLog {
 // Recorder
 // ---------------------------------------------------------------------
 
+/// The metric registry an enabled [`Recorder`] shares with its clones.
 #[derive(Debug, Default)]
-struct Inner {
-    /// Logical clock: stamps event records and feeds [`Recorder::tick`].
+struct Registry {
+    /// Logical clock: stamps event records.
     clock: AtomicU64,
     counters: Mutex<BTreeMap<String, Arc<CounterCore>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCore>>>,
-    histograms: Mutex<BTreeMap<String, Arc<HistogramCore>>>,
+    histograms: Mutex<Histograms>,
     events: Mutex<EventLog>,
 }
+
+#[derive(Debug, Default)]
+struct Histograms {
+    by_name: BTreeMap<String, Arc<HistogramCore>>,
+    /// Phase name → its `<name>.seconds` entry in `by_name`, so an
+    /// opening phase finds its histogram without formatting the name.
+    by_phase: BTreeMap<&'static str, Arc<HistogramCore>>,
+}
+
+/// What an active [`Recorder`] shares with its clones.
+#[derive(Debug)]
+struct Inner {
+    /// `None` on a tracing-only recorder.
+    metrics: Option<Arc<Registry>>,
+    tracer: Tracer,
+}
+
+/// The tracer an inactive recorder lends out.
+static NO_TRACER: Tracer = Tracer::disabled();
 
 /// The wiring unit: cheap to clone (an `Arc` or nothing), threaded
 /// through builders into every layer that wants to be observed.
 ///
 /// `Recorder::default()` is **disabled** — every handle it mints is a
-/// no-op. [`Recorder::enabled`] turns on a shared registry; clones
-/// share it, so a session's loader, index, layout engine, and frame
-/// cache all report into one place.
+/// no-op. [`Recorder::enabled`] turns on a shared metric registry and
+/// [`Recorder::with_tracer`] attaches a span tracer; clones share both,
+/// so a session's loader, index, layout engine, and frame cache all
+/// report into one place.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
+    /// `None` when metrics and tracing are both off.
     inner: Option<Arc<Inner>>,
-    tracer: Tracer,
 }
 
 impl Recorder {
-    /// A recorder with a live registry.
+    /// A recorder with a live metric registry.
     pub fn enabled() -> Self {
-        Recorder { inner: Some(Arc::new(Inner::default())), tracer: Tracer::disabled() }
+        let inner = Inner { metrics: Some(Arc::default()), tracer: Tracer::disabled() };
+        Recorder { inner: Some(Arc::new(inner)) }
     }
 
     /// The no-op recorder (same as `Default`).
     pub fn disabled() -> Self {
-        Recorder { inner: None, tracer: Tracer::disabled() }
+        Recorder { inner: None }
     }
 
+    /// Whether the metric registry is on.
     pub fn is_enabled(&self) -> bool {
+        self.metrics().is_some()
+    }
+
+    /// Whether metrics or tracing is on — whether a [`Recorder::phase`]
+    /// can record anything. Layers keep their recorder exactly when it
+    /// is active.
+    pub fn is_active(&self) -> bool {
         self.inner.is_some()
+    }
+
+    fn metrics(&self) -> Option<&Registry> {
+        self.inner.as_ref()?.metrics.as_deref()
     }
 
     /// Attach a causal-span [`Tracer`]; clones share it, so every layer
     /// holding a clone of this recorder emits phase spans into the same
     /// per-shard rings. The metric registry is untouched.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Recorder {
-        self.tracer = tracer;
-        self
+    pub fn with_tracer(self, tracer: Tracer) -> Recorder {
+        let metrics = self.inner.and_then(|inner| inner.metrics.clone());
+        let active = metrics.is_some() || tracer.is_enabled();
+        Recorder { inner: active.then(|| Arc::new(Inner { metrics, tracer })) }
     }
 
     /// The attached causal-span tracer — [`Tracer::disabled`] (and so
@@ -248,46 +288,52 @@ impl Recorder {
     /// thread-local access) unless [`Recorder::with_tracer`] installed
     /// a live one.
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        self.inner.as_ref().map_or(&NO_TRACER, |inner| &inner.tracer)
+    }
+
+    /// Times the scope that holds the returned guard. When it drops,
+    /// the elapsed seconds go into histogram `<name>.seconds` (metrics
+    /// on; the histogram is registered when the phase opens) and, when
+    /// the thread's current trace is sampled, a span `name` joins that
+    /// trace. The clock is read once at open and once at drop, and both
+    /// sinks share the two readings. On an inactive recorder, or with
+    /// metrics off outside a sampled trace, the guard is inert and no
+    /// clock is read.
+    pub fn phase(&self, name: &'static str) -> Phase {
+        self.inner.as_ref().map_or(Phase(None), |inner| inner.open(name, Instant::now))
+    }
+
+    /// [`Recorder::phase`] for a scope that began at `started`, before
+    /// the trace it belongs to existed: frame decode, whose output
+    /// names the command's root span. Its span nests as a leaf under
+    /// the span current now, back-dated to `started`.
+    pub fn phase_since(&self, name: &'static str, started: Instant) -> Phase {
+        self.inner.as_ref().map_or(Phase(None), |inner| inner.open(name, || started))
     }
 
     /// Look up or create the named counter. Disabled recorders return a
     /// no-op handle without touching any registry.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|inner| {
-            let mut reg = inner.counters.lock().unwrap();
+        Counter(self.metrics().map(|reg| {
+            let mut reg = reg.counters.lock().unwrap();
             Arc::clone(reg.entry(name.to_string()).or_default())
         }))
     }
 
     /// Look up or create the named gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|inner| {
-            let mut reg = inner.gauges.lock().unwrap();
+        Gauge(self.metrics().map(|reg| {
+            let mut reg = reg.gauges.lock().unwrap();
             Arc::clone(reg.entry(name.to_string()).or_default())
         }))
     }
 
     /// Look up or create the named histogram.
     pub fn histogram(&self, name: &str) -> Histogram {
-        Histogram(self.inner.as_ref().map(|inner| {
-            let mut reg = inner.histograms.lock().unwrap();
-            Arc::clone(
-                reg.entry(name.to_string())
-                    .or_insert_with(|| Arc::new(HistogramCore::new())),
-            )
+        Histogram(self.metrics().map(|reg| {
+            let mut reg = reg.histograms.lock().unwrap();
+            Arc::clone(reg.by_name.entry(name.to_string()).or_default())
         }))
-    }
-
-    /// Start a wall-clock span; on drop its duration in **seconds** is
-    /// recorded into the named histogram. Disabled recorders never read
-    /// the clock.
-    pub fn span(&self, name: &str) -> Span {
-        if self.inner.is_some() {
-            Span(Some((self.histogram(name), Instant::now())))
-        } else {
-            Span(None)
-        }
     }
 
     /// Append a discrete event to the bounded ring buffer, stamped with
@@ -296,23 +342,14 @@ impl Recorder {
     /// records in the opposite order of their sequence numbers, or the
     /// ring's monotonicity (which `stats` consumers sort by) would tear.
     pub fn event(&self, name: &str, detail: &str) {
-        if let Some(inner) = &self.inner {
-            let mut log = inner.events.lock().unwrap();
-            let seq = inner.clock.fetch_add(1, Ordering::Relaxed);
+        if let Some(reg) = self.metrics() {
+            let mut log = reg.events.lock().unwrap();
+            let seq = reg.clock.fetch_add(1, Ordering::Relaxed);
             log.push(EventRecord {
                 seq,
                 name: name.to_string(),
                 detail: detail.to_string(),
             });
-        }
-    }
-
-    /// Advance and return the logical clock (0 when disabled). Lets a
-    /// caller interleave its own ordering marks with event timestamps.
-    pub fn tick(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.clock.fetch_add(1, Ordering::Relaxed),
-            None => 0,
         }
     }
 
@@ -336,7 +373,7 @@ impl Recorder {
     /// The one snapshot reader: with `reset`, counters and histograms
     /// are swapped to zero as they are read instead of loaded.
     fn read(&self, reset: bool) -> Snapshot {
-        let Some(inner) = &self.inner else {
+        let Some(reg) = self.metrics() else {
             return Snapshot::default();
         };
         // `0.0f64.to_bits()` is 0, so one swap value zeros both the
@@ -344,24 +381,25 @@ impl Recorder {
         let take = |a: &AtomicU64| {
             if reset { a.swap(0, Ordering::Relaxed) } else { a.load(Ordering::Relaxed) }
         };
-        let counters = inner
+        let counters = reg
             .counters
             .lock()
             .unwrap()
             .iter()
             .map(|(name, core)| (name.clone(), take(&core.0)))
             .collect();
-        let gauges = inner
+        let gauges = reg
             .gauges
             .lock()
             .unwrap()
             .iter()
             .map(|(name, core)| (name.clone(), f64::from_bits(core.0.load(Ordering::Relaxed))))
             .collect();
-        let histograms = inner
+        let histograms = reg
             .histograms
             .lock()
             .unwrap()
+            .by_name
             .iter()
             .map(|(name, core)| HistogramSnapshot {
                 name: name.clone(),
@@ -370,9 +408,9 @@ impl Recorder {
                 buckets: core.buckets.iter().map(take).collect(),
             })
             .collect();
-        let log = inner.events.lock().unwrap();
+        let log = reg.events.lock().unwrap();
         Snapshot {
-            clock: inner.clock.load(Ordering::Relaxed),
+            clock: reg.clock.load(Ordering::Relaxed),
             counters,
             gauges,
             histograms,
@@ -446,18 +484,6 @@ impl Histogram {
             .map_or(0.0, |core| f64::from_bits(core.sum_bits.load(Ordering::Relaxed)))
     }
 
-    /// Start a wall-clock span recording into this histogram on drop —
-    /// the cached-handle twin of [`Recorder::span`], for hot paths that
-    /// must not pay a registry lookup per call. No-op handles never
-    /// read the clock.
-    pub fn start_timer(&self) -> Span {
-        if self.0.is_some() {
-            Span(Some((self.clone(), Instant::now())))
-        } else {
-            Span(None)
-        }
-    }
-
     /// Upper bound of the bucket holding the `q`-quantile sample
     /// (`0 < q <= 1`); 0 when empty. Log-linear resolution: the
     /// reported bound overestimates the true sample by at most 25%
@@ -481,15 +507,49 @@ impl Histogram {
     }
 }
 
-/// RAII wall-clock span; records elapsed seconds into its histogram on
-/// drop. Obtain via [`Recorder::span`].
-#[derive(Debug)]
-pub struct Span(Option<(Histogram, Instant)>);
+impl Inner {
+    /// Opens a phase: looks up its histogram (metrics on) and its
+    /// parent span (current trace sampled), and reads the clock through
+    /// `now` only when either sink is there to be fed.
+    fn open(&self, name: &'static str, now: impl FnOnce() -> Instant) -> Phase {
+        let histogram = self.metrics.as_ref().map(|reg| {
+            let mut reg = reg.histograms.lock().unwrap();
+            let Histograms { by_name, by_phase } = &mut *reg;
+            Arc::clone(by_phase.entry(name).or_insert_with(|| {
+                Arc::clone(by_name.entry(format!("{name}.seconds")).or_default())
+            }))
+        });
+        let parent = self.tracer.sampled_parent();
+        if histogram.is_none() && parent.is_none() {
+            return Phase(None);
+        }
+        let start = now();
+        let span = parent.map(|p| p.open(name, String::new(), start));
+        Phase(Some(LivePhase { start, histogram, span }))
+    }
+}
 
-impl Drop for Span {
+/// RAII guard from [`Recorder::phase`]: on drop, records the scope's
+/// wall-clock seconds into its histogram and finishes its span.
+#[derive(Debug)]
+pub struct Phase(Option<LivePhase>);
+
+#[derive(Debug)]
+struct LivePhase {
+    start: Instant,
+    histogram: Option<Arc<HistogramCore>>,
+    span: Option<span::LiveSpan>,
+}
+
+impl Drop for Phase {
     fn drop(&mut self) {
-        if let Some((hist, start)) = self.0.take() {
-            hist.record(start.elapsed().as_secs_f64());
+        let Some(live) = self.0.take() else { return };
+        let end = Instant::now();
+        if let Some(h) = live.histogram {
+            h.record(end.saturating_duration_since(live.start).as_secs_f64());
+        }
+        if let Some(span) = live.span {
+            span.finish(end);
         }
     }
 }
@@ -513,8 +573,8 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0.0);
         r.event("e", "detail");
-        drop(r.span("s"));
-        assert_eq!(r.tick(), 0);
+        assert!(!r.is_active());
+        assert!(r.phase("s").0.is_none(), "an inactive recorder opens inert phases");
         let snap = r.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.events.is_empty());
@@ -575,14 +635,72 @@ mod tests {
     }
 
     #[test]
-    fn span_records_into_histogram() {
+    fn phase_records_into_its_seconds_histogram() {
         let r = Recorder::enabled();
         {
-            let _s = r.span("work.seconds");
+            let _p = r.phase("work");
+            assert_eq!(r.snapshot().histograms[0].name, "work.seconds", "registered at open");
+            assert_eq!(r.histogram("work.seconds").count(), 0);
         }
+        drop(r.phase("work"));
         let h = r.histogram("work.seconds");
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.count(), 2);
         assert!(h.sum() >= 0.0);
+        assert_eq!(r.snapshot().histograms.len(), 1, "one histogram per phase name");
+    }
+
+    /// One phase, one pair of clock readings: with metrics and a
+    /// sampled trace, the histogram sample and the span cover the same
+    /// interval. Metrics-off recorders with a live tracer still record
+    /// the span, and register no histogram.
+    #[test]
+    fn phase_feeds_histogram_and_span_from_one_clock() {
+        let tracer = Tracer::enabled(1, 9, 1);
+        let both = Recorder::enabled().with_tracer(tracer.clone());
+        {
+            let _root = tracer.root(0, "cmd", "");
+            let _p = both.phase("agg.index.build");
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        let (spans, _) = tracer.finished_spans();
+        let span = spans.iter().find(|s| s.name == "agg.index.build").expect("span");
+        let h = both.histogram("agg.index.build.seconds");
+        assert_eq!(h.count(), 1);
+        assert!(span.duration_ns() >= 200_000);
+        assert!((h.sum() * 1e9 - span.duration_ns() as f64).abs() < 1.0, "same two readings");
+
+        let traced = Recorder::disabled().with_tracer(tracer.clone());
+        assert!(traced.is_active() && !traced.is_enabled());
+        {
+            let _root = tracer.root(0, "cmd", "");
+            drop(traced.phase("lod.cut"));
+        }
+        drop(traced.phase("outside.any.trace"));
+        assert!(traced.snapshot().histograms.is_empty());
+        let (spans, _) = tracer.finished_spans();
+        assert_eq!(spans.iter().filter(|s| s.name == "lod.cut").count(), 1);
+        assert!(spans.iter().all(|s| s.name != "outside.any.trace"));
+    }
+
+    #[test]
+    fn phase_since_backdates_a_leaf_under_the_current_span() {
+        let tracer = Tracer::enabled(1, 11, 1);
+        let r = Recorder::enabled().with_tracer(tracer.clone());
+        let started = Instant::now();
+        std::thread::sleep(std::time::Duration::from_micros(100));
+        {
+            let _root = tracer.root(0, "cmd", "");
+            drop(r.phase_since("frame.decode", started));
+        }
+        let (spans, _) = tracer.finished_spans();
+        let (decode, root) = (&spans[0], &spans[1]);
+        assert_eq!(decode.name, "frame.decode");
+        assert_eq!(decode.parent, root.id);
+        assert_eq!(decode.end_tick, decode.start_tick + 1, "a leaf");
+        assert!(decode.start_tick > root.start_tick && decode.end_tick < root.end_tick);
+        assert!(decode.start_ns < root.start_ns, "back-dated past its root");
+        assert!(decode.duration_ns() >= 100_000);
+        assert_eq!(r.histogram("frame.decode.seconds").count(), 1);
     }
 
     #[test]

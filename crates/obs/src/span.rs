@@ -24,14 +24,13 @@
 //!   viva renders of itself). Ticks advance only on sampled span
 //!   start/end, so they are as reproducible as the sampling decision.
 //!
-//! Propagation is thread-local by default: a live root parks its
-//! [`TraceCtx`] in a thread-local slot and [`Tracer::phase`] creates
-//! children of whatever is current, which lets deep layers (trace
-//! loading, aggregation, layout, LoD, SVG) emit phase spans without
-//! threading a context through every signature. When work hops shard
-//! workers, carry the [`TraceCtx`] explicitly and reattach with
-//! [`Tracer::child_of`] — the records still share one `trace_id`, so
-//! one pipelined batch yields one coherent tree per command.
+//! Propagation is thread-local: a live root parks its context in a
+//! thread-local slot and [`Recorder::phase`](crate::Recorder::phase)
+//! opens children of whatever is current, which lets deep layers
+//! (trace loading, aggregation, layout, LoD, SVG) emit phase spans
+//! without threading a context through every signature. A child
+//! therefore always runs on its parent's thread, and records its
+//! parent's shard.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -53,28 +52,6 @@ impl SpanId {
     pub const NONE: SpanId = SpanId(0);
 }
 
-/// Propagation context: everything a child span needs to join its
-/// parent's tree from another thread. Copy it across the hop and
-/// reattach with [`Tracer::child_of`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// Tree identity; `0` means unsampled/none, and children of an
-    /// unsampled context are no-ops.
-    pub trace_id: u64,
-    /// The span to parent new children under.
-    pub span_id: SpanId,
-}
-
-impl TraceCtx {
-    /// The empty context: not sampled, parents nothing.
-    pub const NONE: TraceCtx = TraceCtx { trace_id: 0, span_id: SpanId::NONE };
-
-    /// Whether spans created under this context will be recorded.
-    pub fn is_sampled(&self) -> bool {
-        self.trace_id != 0
-    }
-}
-
 /// One finished span, as read back by [`Tracer::finished_spans`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
@@ -85,7 +62,7 @@ pub struct SpanRecord {
     pub id: SpanId,
     /// Parent span id; [`SpanId::NONE`] for roots.
     pub parent: SpanId,
-    /// Static phase name (e.g. `"render"`, `"svg.encode"`).
+    /// Static phase name (e.g. `"render"`, `"session.render"`).
     pub name: &'static str,
     /// Free-form annotation — the session name on command roots, empty
     /// on most phase spans.
@@ -163,9 +140,10 @@ struct TracerInner {
 }
 
 thread_local! {
-    /// The span currently live on this thread (the implicit parent for
-    /// [`Tracer::phase`]), plus the shard it runs on.
-    static CURRENT: Cell<(TraceCtx, u16)> = const { Cell::new((TraceCtx::NONE, 0)) };
+    /// The span currently live on this thread, the implicit parent for
+    /// [`Recorder::phase`](crate::Recorder::phase): its trace id (`0`
+    /// when there is none or it is unsampled), its id and its shard.
+    static CURRENT: Cell<(u64, SpanId, u16)> = const { Cell::new((0, SpanId::NONE, 0)) };
 }
 
 /// The span sink: cheap to clone, shared by every layer that emits
@@ -195,7 +173,7 @@ impl Tracer {
     }
 
     /// The no-op tracer (same as `Default`).
-    pub fn disabled() -> Tracer {
+    pub const fn disabled() -> Tracer {
         Tracer { inner: None }
     }
 
@@ -224,109 +202,19 @@ impl Tracer {
         if !sample_one_in(inner.seed, index, inner.sample_n) {
             return SpanGuard::noop();
         }
-        let trace_id = index + 1;
-        self.start_live(inner, trace_id, SpanId::NONE, shard, name, detail.to_string())
+        let root = Parent { inner, trace_id: index + 1, span: SpanId::NONE, shard };
+        let live = root.open(name, detail.to_string(), Instant::now());
+        SpanGuard { live: Some(live) }
     }
 
-    /// Child of the thread-current span: the workhorse for deep layers
-    /// (loader, aggregation, layout, LoD, SVG) that should not thread a
-    /// context through every signature. No current span — or an
-    /// unsampled one — means a no-op guard.
-    pub fn phase(&self, name: &'static str) -> SpanGuard {
-        let Some(inner) = &self.inner else {
-            return SpanGuard::noop();
-        };
-        let (ctx, shard) = CURRENT.get();
-        if !ctx.is_sampled() {
-            return SpanGuard::noop();
-        }
-        self.start_live(inner, ctx.trace_id, ctx.span_id, shard, name, String::new())
-    }
-
-    /// Child of an explicit context — cross-thread propagation. Use
-    /// when a command's work hops to another shard worker (subscriber
-    /// pushes, parallel layout): the records keep the originating
-    /// `trace_id`, so the tree stays whole.
-    pub fn child_of(&self, ctx: TraceCtx, shard: u16, name: &'static str) -> SpanGuard {
-        let Some(inner) = &self.inner else {
-            return SpanGuard::noop();
-        };
-        if !ctx.is_sampled() {
-            return SpanGuard::noop();
-        }
-        self.start_live(inner, ctx.trace_id, ctx.span_id, shard, name, String::new())
-    }
-
-    /// Record an already-finished phase under the thread-current span —
-    /// for work measured *before* its tree could exist (frame decode
-    /// runs before the command's root span can be named). The tick pair
-    /// is allocated at record time, so it nests as a leaf inside the
-    /// current span; the wall interval is back-dated by `duration`.
-    pub fn phase_completed(&self, name: &'static str, duration: std::time::Duration) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let (ctx, shard) = CURRENT.get();
-        if !ctx.is_sampled() {
-            return;
-        }
-        let id = SpanId(inner.next_span.fetch_add(1, Ordering::Relaxed));
-        let start_tick = inner.clock.fetch_add(1, Ordering::Relaxed);
-        let end_tick = inner.clock.fetch_add(1, Ordering::Relaxed);
-        let end_ns = inner.epoch.elapsed().as_nanos() as u64;
-        let start_ns = end_ns.saturating_sub(duration.as_nanos() as u64);
-        let slot = shard as usize % inner.shards.len();
-        inner.shards[slot].lock().unwrap().push(SpanRecord {
-            trace_id: ctx.trace_id,
-            id,
-            parent: ctx.span_id,
-            name,
-            detail: String::new(),
-            shard,
-            start_tick,
-            end_tick,
-            start_ns,
-            end_ns,
-        });
-    }
-
-    /// The thread-current context ([`TraceCtx::NONE`] when disabled or
-    /// outside any sampled span). Capture before handing work to
-    /// another thread, then reattach there with [`Tracer::child_of`].
-    pub fn current(&self) -> TraceCtx {
-        if self.inner.is_none() {
-            return TraceCtx::NONE;
-        }
-        CURRENT.get().0
-    }
-
-    fn start_live(
-        &self,
-        inner: &Arc<TracerInner>,
-        trace_id: u64,
-        parent: SpanId,
-        shard: u16,
-        name: &'static str,
-        detail: String,
-    ) -> SpanGuard {
-        let id = SpanId(inner.next_span.fetch_add(1, Ordering::Relaxed));
-        let start_tick = inner.clock.fetch_add(1, Ordering::Relaxed);
-        let start_ns = inner.epoch.elapsed().as_nanos() as u64;
-        let prev = CURRENT.replace((TraceCtx { trace_id, span_id: id }, shard));
-        SpanGuard {
-            live: Some(LiveSpan {
-                inner: Arc::clone(inner),
-                trace_id,
-                id,
-                parent,
-                name,
-                detail,
-                shard,
-                start_tick,
-                start_ns,
-                prev,
-            }),
-        }
+    /// The thread-current span to open a child under, when this tracer
+    /// is live and that span is sampled: the test
+    /// [`Recorder::phase`](crate::Recorder::phase) makes before it reads
+    /// the clock.
+    pub(crate) fn sampled_parent(&self) -> Option<Parent<'_>> {
+        let inner = self.inner.as_ref()?;
+        let (trace_id, span, shard) = CURRENT.get();
+        (trace_id != 0).then_some(Parent { inner, trace_id, span, shard })
     }
 
     /// A deterministic copy of every finished span: shards in index
@@ -348,8 +236,43 @@ impl Tracer {
     }
 }
 
+/// A sampled span to open children under (see
+/// [`Tracer::sampled_parent`]).
+pub(crate) struct Parent<'a> {
+    inner: &'a Arc<TracerInner>,
+    trace_id: u64,
+    /// [`SpanId::NONE`] when opening a root.
+    span: SpanId,
+    shard: u16,
+}
+
+impl Parent<'_> {
+    /// Opens `name` under this parent, started at `start`, and makes it
+    /// the thread-current span until it finishes.
+    pub(crate) fn open(self, name: &'static str, detail: String, start: Instant) -> LiveSpan {
+        let inner = self.inner;
+        let id = SpanId(inner.next_span.fetch_add(1, Ordering::Relaxed));
+        let start_tick = inner.clock.fetch_add(1, Ordering::Relaxed);
+        let start_ns = start.saturating_duration_since(inner.epoch).as_nanos() as u64;
+        let prev = CURRENT.replace((self.trace_id, id, self.shard));
+        LiveSpan {
+            inner: Arc::clone(inner),
+            trace_id: self.trace_id,
+            id,
+            parent: self.span,
+            name,
+            detail,
+            shard: self.shard,
+            start_tick,
+            start_ns,
+            prev,
+        }
+    }
+}
+
+/// An open, sampled span.
 #[derive(Debug)]
-struct LiveSpan {
+pub(crate) struct LiveSpan {
     inner: Arc<TracerInner>,
     trace_id: u64,
     id: SpanId,
@@ -359,14 +282,38 @@ struct LiveSpan {
     shard: u16,
     start_tick: u64,
     start_ns: u64,
-    /// Thread-local (context, shard) to restore when this span ends.
-    prev: (TraceCtx, u16),
+    /// The thread-current span to restore when this span ends.
+    prev: (u64, SpanId, u16),
 }
 
-/// RAII span: finishes (stamps end tick + end ns, pushes its record
-/// into its shard's ring, restores the thread-current context) on drop.
-/// Guards from disabled tracers or unsampled trees hold nothing and do
-/// nothing.
+impl LiveSpan {
+    /// Stamps the end tick and `end`, restores the thread-current
+    /// context and pushes the record into its shard's ring.
+    pub(crate) fn finish(self, end: Instant) {
+        let inner = self.inner;
+        let end_tick = inner.clock.fetch_add(1, Ordering::Relaxed);
+        let end_ns = end.saturating_duration_since(inner.epoch).as_nanos() as u64;
+        CURRENT.set(self.prev);
+        let shard = self.shard as usize % inner.shards.len();
+        inner.shards[shard].lock().unwrap().push(SpanRecord {
+            trace_id: self.trace_id,
+            id: self.id,
+            parent: self.parent,
+            name: self.name,
+            detail: self.detail,
+            shard: self.shard,
+            start_tick: self.start_tick,
+            end_tick,
+            start_ns: self.start_ns,
+            end_ns,
+        });
+    }
+}
+
+/// RAII root span from [`Tracer::root`]: finishes (stamps end tick and
+/// end ns, pushes its record into its shard's ring, restores the
+/// thread-current context) on drop. Guards from disabled tracers or
+/// unsampled trees hold nothing and do nothing.
 #[derive(Debug, Default)]
 pub struct SpanGuard {
     live: Option<LiveSpan>,
@@ -382,41 +329,26 @@ impl SpanGuard {
     pub fn is_sampled(&self) -> bool {
         self.live.is_some()
     }
-
-    /// This span's propagation context ([`TraceCtx::NONE`] when not
-    /// sampled) — hand it to another thread with [`Tracer::child_of`].
-    pub fn ctx(&self) -> TraceCtx {
-        self.live
-            .as_ref()
-            .map_or(TraceCtx::NONE, |l| TraceCtx { trace_id: l.trace_id, span_id: l.id })
-    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(live) = self.live.take() else { return };
-        let end_tick = live.inner.clock.fetch_add(1, Ordering::Relaxed);
-        let end_ns = live.inner.epoch.elapsed().as_nanos() as u64;
-        CURRENT.set(live.prev);
-        let shard = live.shard as usize % live.inner.shards.len();
-        live.inner.shards[shard].lock().unwrap().push(SpanRecord {
-            trace_id: live.trace_id,
-            id: live.id,
-            parent: live.parent,
-            name: live.name,
-            detail: live.detail,
-            shard: live.shard,
-            start_tick: live.start_tick,
-            end_tick,
-            start_ns: live.start_ns,
-            end_ns,
-        });
+        if let Some(live) = self.live.take() {
+            live.finish(Instant::now());
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Recorder;
+
+    /// A metrics-off recorder carrying `t`: the `--self-trace` shape,
+    /// and the only way to open phase spans.
+    fn phases(t: &Tracer) -> Recorder {
+        Recorder::disabled().with_tracer(t.clone())
+    }
 
     #[test]
     fn disabled_tracer_is_inert() {
@@ -426,45 +358,44 @@ mod tests {
         assert_eq!(t.clock(), 0);
         let root = t.root(0, "cmd", "sess");
         assert!(!root.is_sampled());
-        assert_eq!(root.ctx(), TraceCtx::NONE);
-        drop(t.phase("inner"));
+        assert!(t.sampled_parent().is_none());
+        drop(phases(&t).phase("inner"));
         drop(root);
         assert_eq!(t.finished_spans().0.len(), 0);
-        assert_eq!(t.current(), TraceCtx::NONE);
     }
 
     #[test]
     fn spans_nest_and_link_parents() {
         let t = Tracer::enabled(1, 7, 1);
+        let r = phases(&t);
         {
             let root = t.root(0, "render", "demo");
             assert!(root.is_sampled());
             {
-                let a = t.phase("layout.step");
-                assert_eq!(a.ctx().trace_id, root.ctx().trace_id);
-                let b = t.phase("lod.cut");
-                assert_eq!(t.current().span_id, b.ctx().span_id);
+                let _a = r.phase("layout.step");
+                let _b = r.phase("lod.cut");
             }
-            assert_eq!(t.current().span_id, root.ctx().span_id, "children restore parent");
+            drop(r.phase("session.render"));
         }
         let (spans, dropped) = t.finished_spans();
         assert_eq!(dropped, 0);
-        assert_eq!(spans.len(), 3);
+        assert_eq!(spans.len(), 4);
         // Rings are end-ordered: lod.cut ends first, root last.
-        assert_eq!(spans[0].name, "lod.cut");
-        assert_eq!(spans[2].name, "render");
-        let root = &spans[2];
+        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["lod.cut", "layout.step", "session.render", "render"]);
+        let (lod, layout, svg, root) = (&spans[0], &spans[1], &spans[2], &spans[3]);
         assert_eq!(root.parent, SpanId::NONE);
         assert_eq!(root.detail, "demo");
-        let layout = &spans[1];
         assert_eq!(layout.parent, root.id);
-        let lod = &spans[0];
         assert_eq!(lod.parent, layout.id, "phase nests under the innermost live span");
+        assert_eq!(svg.parent, root.id, "a finished phase restores its parent");
+        assert!(spans.iter().all(|s| s.trace_id == root.trace_id));
         // Tick intervals nest strictly.
         assert!(root.start_tick < layout.start_tick);
         assert!(layout.start_tick < lod.start_tick);
         assert!(lod.end_tick < layout.end_tick);
-        assert!(layout.end_tick < root.end_tick);
+        assert!(layout.end_tick < svg.start_tick);
+        assert!(svg.end_tick < root.end_tick);
         assert!(root.end_ns >= root.start_ns);
     }
 
@@ -487,11 +418,10 @@ mod tests {
     fn sampled_tracer_replays_identically() {
         let run = || {
             let t = Tracer::enabled(2, 0xfeed, 4);
+            let r = phases(&t);
             for i in 0..64u16 {
                 let root = t.root(i % 2, "cmd", "s");
-                {
-                    let _p = t.phase("phase");
-                }
+                drop(r.phase("phase"));
                 drop(root);
             }
             let (spans, _) = t.finished_spans();
@@ -504,39 +434,28 @@ mod tests {
     }
 
     #[test]
-    fn phase_completed_backdates_a_leaf_under_the_current_span() {
-        let t = Tracer::enabled(1, 11, 1);
+    fn phases_inherit_the_shard_of_their_parent() {
+        let t = Tracer::enabled(4, 5, 1);
+        let r = phases(&t);
         {
-            let _root = t.root(0, "cmd", "");
-            // The back-dated start clamps at the tracer epoch; make sure
-            // at least the claimed duration has really elapsed since then.
-            std::thread::sleep(std::time::Duration::from_micros(50));
-            t.phase_completed("frame.decode", std::time::Duration::from_nanos(500));
+            let _root = t.root(3, "relax", "");
+            drop(r.phase("layout.step"));
         }
         let (spans, _) = t.finished_spans();
         assert_eq!(spans.len(), 2);
-        let decode = &spans[0];
-        let root = &spans[1];
-        assert_eq!(decode.name, "frame.decode");
-        assert_eq!(decode.parent, root.id);
-        assert_eq!(decode.trace_id, root.trace_id);
-        assert_eq!(decode.end_tick, decode.start_tick + 1);
-        assert!(decode.start_tick > root.start_tick && decode.end_tick < root.end_tick);
-        assert!(decode.duration_ns() >= 500);
-        // Outside any sampled span it records nothing.
-        t.phase_completed("frame.decode", std::time::Duration::from_nanos(1));
-        assert_eq!(t.finished_spans().0.len(), 2);
+        assert!(spans.iter().all(|s| s.shard == 3), "{spans:?}");
     }
 
     #[test]
     fn unsampled_roots_record_nothing() {
         // sample 1-in-u64::MAX: overwhelmingly unsampled.
         let t = Tracer::enabled(1, 3, u64::MAX);
+        let r = phases(&t);
         let mut any = false;
         for _ in 0..256 {
             let root = t.root(0, "cmd", "");
             any |= root.is_sampled();
-            let _child = t.phase("x");
+            let _child = r.phase("x");
         }
         let (spans, _) = t.finished_spans();
         assert_eq!(spans.len(), if any { 2 } else { 0 });
@@ -554,26 +473,5 @@ mod tests {
         assert_eq!(dropped, 25);
         // Oldest surviving record is root #26 (trace ids start at 1).
         assert_eq!(spans[0].trace_id, 26);
-    }
-
-    #[test]
-    fn child_of_joins_a_tree_across_threads() {
-        let t = Tracer::enabled(4, 5, 1);
-        let root = t.root(0, "cmd", "");
-        let ctx = root.ctx();
-        let t2 = t.clone();
-        std::thread::spawn(move || {
-            drop(t2.child_of(ctx, 3, "subscriber.push"));
-        })
-        .join()
-        .unwrap();
-        drop(root);
-        let (spans, _) = t.finished_spans();
-        assert_eq!(spans.len(), 2);
-        let push = spans.iter().find(|s| s.name == "subscriber.push").unwrap();
-        let root = spans.iter().find(|s| s.name == "cmd").unwrap();
-        assert_eq!(push.trace_id, root.trace_id);
-        assert_eq!(push.parent, root.id);
-        assert_eq!(push.shard, 3);
     }
 }

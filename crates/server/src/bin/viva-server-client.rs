@@ -325,10 +325,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// The histogram name a script line's latency is recorded under.
-fn timing_name(line: &str) -> String {
-    let cmd = Command::decode(line.trim()).map(|c| c.name()).unwrap_or("invalid");
-    format!("client.cmd.{cmd}.seconds")
+/// The phase a script line's round trip is timed as: its command's
+/// name, recorded into histogram `<name>.seconds`.
+fn timing_name(line: &str) -> &'static str {
+    Command::decode(line.trim()).map(|c| c.name()).unwrap_or("invalid")
 }
 
 /// Prints the per-command latency summary (count, p50, p99) from the
@@ -337,8 +337,7 @@ fn print_timing(recorder: &Recorder) {
     let snap = recorder.snapshot();
     eprintln!("command                    count      p50      p99");
     for h in &snap.histograms {
-        let name = h.name.strip_prefix("client.cmd.").unwrap_or(&h.name);
-        let name = name.strip_suffix(".seconds").unwrap_or(name);
+        let name = h.name.strip_suffix(".seconds").unwrap_or(&h.name);
         eprintln!(
             "{name:<24} {count:>8} {p50:>8} {p99:>8}",
             count = h.count,
@@ -361,7 +360,7 @@ fn format_seconds(s: f64) -> String {
 
 /// `--profile`: fetch the server's recent span trees for one session
 /// and print the per-phase breakdown — which commands ran, and inside
-/// them, where the nanoseconds went (`session.lock`, `svg.encode`,
+/// them, where the nanoseconds went (`session.lock`, `session.render`,
 /// `journal.append`, ...). Requires a server started with tracing on
 /// (`viva-server --self-trace`).
 fn profile_tcp(addr: &str, session: &str, retries: u32) -> Result<(), String> {
@@ -461,7 +460,7 @@ fn replay_in_process(script: &str, recorder: &Recorder, retries: u32) -> Result<
         if line.trim().is_empty() {
             continue;
         }
-        let span = recorder.is_enabled().then(|| recorder.span(&timing_name(line)));
+        let phase = recorder.is_enabled().then(|| recorder.phase(timing_name(line)));
         let mut retry = Retry::new(retries);
         let mut response = server.handle_line(line);
         while let Some(hint) = response.as_deref().and_then(overload_hint) {
@@ -469,7 +468,7 @@ fn replay_in_process(script: &str, recorder: &Recorder, retries: u32) -> Result<
             std::thread::sleep(delay);
             response = server.handle_line(line);
         }
-        drop(span);
+        drop(phase);
         if let Some(response) = response {
             writeln!(out, "{response}").map_err(|e| e.to_string())?;
         }
@@ -571,7 +570,7 @@ fn replay_tcp(addr: &str, script: &str, recorder: &Recorder, retries: u32) -> Re
         if line.trim().is_empty() {
             continue;
         }
-        let span = recorder.is_enabled().then(|| recorder.span(&timing_name(line)));
+        let phase = recorder.is_enabled().then(|| recorder.phase(timing_name(line)));
         let mut retry = Retry::new(retries);
         let response = loop {
             writer
@@ -597,7 +596,7 @@ fn replay_tcp(addr: &str, script: &str, recorder: &Recorder, retries: u32) -> Re
                 None => break response,
             }
         };
-        drop(span);
+        drop(phase);
         out.write_all(response.as_bytes()).map_err(|e| e.to_string())?;
     }
     Ok(())

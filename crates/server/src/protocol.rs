@@ -644,7 +644,7 @@ pub struct SpanNode {
     /// Parent span id; `0` marks a root.
     pub parent: u64,
     /// Phase name (command name on roots, e.g. `render`; phase name on
-    /// children, e.g. `svg.encode`).
+    /// children, e.g. `session.render`).
     pub name: String,
     /// Session annotation on command roots, empty otherwise.
     pub detail: String,
@@ -1019,34 +1019,49 @@ fn mode_token(mode: RecoveryMode) -> &'static str {
 impl Command {
     /// The wire token naming this command.
     pub fn name(&self) -> &'static str {
+        self.names().0
+    }
+
+    /// `server.cmd.<name>`: the counter and the phase the server bills
+    /// this command to.
+    pub fn metric_name(&self) -> &'static str {
+        self.names().1
+    }
+
+    fn names(&self) -> (&'static str, &'static str) {
+        macro_rules! n {
+            ($name:literal) => {
+                ($name, concat!("server.cmd.", $name))
+            };
+        }
         match self {
-            Command::Ping => "ping",
-            Command::Sessions => "sessions",
-            Command::CloseSession { .. } => "close_session",
-            Command::LoadTrace { .. } => "load_trace",
-            Command::Attach { .. } => "attach",
-            Command::ListTraces => "list_traces",
-            Command::DropTrace { .. } => "drop_trace",
-            Command::SetTimeSlice { .. } => "set_time_slice",
-            Command::Collapse { .. } => "collapse",
-            Command::Expand { .. } => "expand",
-            Command::CollapseAtDepth { .. } => "collapse_at_depth",
-            Command::ExpandAll { .. } => "expand_all",
-            Command::SetForces { .. } => "set_forces",
-            Command::SetScaling { .. } => "set_scaling",
-            Command::Drag { .. } => "drag",
-            Command::Release { .. } => "release",
-            Command::Relax { .. } => "relax",
-            Command::Aggregate { .. } => "aggregate",
-            Command::Stats { .. } => "stats",
-            Command::Spans { .. } => "spans",
-            Command::Render { .. } => "render",
-            Command::Checkpoint { .. } => "checkpoint",
-            Command::Restore { .. } => "restore",
-            Command::Append { .. } => "append",
-            Command::Seal { .. } => "seal",
-            Command::Subscribe { .. } => "subscribe",
-            Command::Shutdown => "shutdown",
+            Command::Ping => n!("ping"),
+            Command::Sessions => n!("sessions"),
+            Command::CloseSession { .. } => n!("close_session"),
+            Command::LoadTrace { .. } => n!("load_trace"),
+            Command::Attach { .. } => n!("attach"),
+            Command::ListTraces => n!("list_traces"),
+            Command::DropTrace { .. } => n!("drop_trace"),
+            Command::SetTimeSlice { .. } => n!("set_time_slice"),
+            Command::Collapse { .. } => n!("collapse"),
+            Command::Expand { .. } => n!("expand"),
+            Command::CollapseAtDepth { .. } => n!("collapse_at_depth"),
+            Command::ExpandAll { .. } => n!("expand_all"),
+            Command::SetForces { .. } => n!("set_forces"),
+            Command::SetScaling { .. } => n!("set_scaling"),
+            Command::Drag { .. } => n!("drag"),
+            Command::Release { .. } => n!("release"),
+            Command::Relax { .. } => n!("relax"),
+            Command::Aggregate { .. } => n!("aggregate"),
+            Command::Stats { .. } => n!("stats"),
+            Command::Spans { .. } => n!("spans"),
+            Command::Render { .. } => n!("render"),
+            Command::Checkpoint { .. } => n!("checkpoint"),
+            Command::Restore { .. } => n!("restore"),
+            Command::Append { .. } => n!("append"),
+            Command::Seal { .. } => n!("seal"),
+            Command::Subscribe { .. } => n!("subscribe"),
+            Command::Shutdown => n!("shutdown"),
         }
     }
 

@@ -15,18 +15,18 @@
 //!   duration at its logical start time;
 //! * **spans → states** — every span becomes a state interval on its
 //!   shard's host, so the nested phase structure (`render` ▸
-//!   `session.lock` ▸ `svg.encode`) shows up as the same nested state
-//!   blocks §3 draws for MPI call stacks;
-//! * **cross-shard hops → links** — a child span recorded on a
-//!   different shard than its parent becomes a communication arrow.
+//!   `server.cmd.render` ▸ `session.render`) shows up as the same
+//!   nested state blocks §3 draws for MPI call stacks.
+//!
+//! A phase span joins the tree that is current on its own thread and
+//! records that tree's shard, so a trace never has a parent and child
+//! on different shards, and the export has no links.
 //!
 //! Everything exported is derived from **logical ticks**, never wall
 //! time, so two replays of the same script with the same sampling seed
 //! export byte-identical CSV — which is exactly what lets a viva
 //! session load, aggregate, and render its own server's behaviour
 //! deterministically (`ci.sh obs-smoke` holds it to that).
-
-use std::collections::HashMap;
 
 use viva_obs::{SpanId, SpanRecord, Tracer};
 use viva_trace::{ContainerKind, Trace, TraceBuilder};
@@ -43,8 +43,8 @@ pub fn export_csv(tracer: &Tracer) -> String {
 }
 
 /// Folds finished span records into a [`Trace`]: `shards` hosts under
-/// one `viva-server` cluster, one metric per command class, states for
-/// every span, links for cross-shard parent/child hops.
+/// one `viva-server` cluster, one metric per command class, and a state
+/// for every span.
 pub fn build_trace(records: &[SpanRecord], shards: usize) -> Trace {
     let shards = shards.max(1);
     let mut b = TraceBuilder::new();
@@ -99,22 +99,6 @@ pub fn build_trace(records: &[SpanRecord], shards: usize) -> Trace {
         }
     }
 
-    // A child recorded on another shard than its parent is a hop.
-    let shard_of: HashMap<SpanId, u16> = ordered.iter().map(|r| (r.id, r.shard)).collect();
-    for r in &ordered {
-        if let Some(&from) = shard_of.get(&r.parent) {
-            if from != r.shard {
-                let _ = b.link(
-                    r.start_tick as f64,
-                    r.end_tick as f64,
-                    host(from),
-                    host(r.shard),
-                    1.0,
-                );
-            }
-        }
-    }
-
     let end = ordered.iter().map(|r| r.end_tick).max().map_or(1.0, |t| (t + 1) as f64);
     b.finish(end)
 }
@@ -122,20 +106,21 @@ pub fn build_trace(records: &[SpanRecord], shards: usize) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viva_obs::Recorder;
 
     /// Drives a sample-everything tracer through two shards' worth of
     /// command trees and checks every leg of the mapping.
     fn traced() -> Tracer {
         let t = Tracer::enabled(2, 7, 1);
+        let r = Recorder::disabled().with_tracer(t.clone());
         {
             let _root = t.root(0, "render", "demo");
-            let _lock = t.phase("session.lock");
-            drop(t.phase("svg.encode"));
+            let _lock = r.phase("session.lock");
+            drop(r.phase("session.render"));
         }
         {
-            let root = t.root(1, "relax", "demo");
-            // A child hopping to the other shard becomes a link.
-            drop(t.child_of(root.ctx(), 0, "subscriber.push"));
+            let _root = t.root(1, "relax", "demo");
+            drop(r.phase("layout.step"));
         }
         drop(t.root(0, "stats", ""));
         t
@@ -157,7 +142,7 @@ mod tests {
                 class.label()
             );
         }
-        assert_eq!(trace.links().len(), 1, "one cross-shard hop, one link");
+        assert!(trace.links().is_empty(), "phases stay on their root's shard");
     }
 
     #[test]

@@ -652,21 +652,20 @@ impl Server {
         if trimmed.len() > self.registry.limits().max_line_bytes {
             return Some(self.line_too_long().encode());
         }
-        // Decode is timed only when tracing is on: the duration becomes
-        // the root span's back-dated `frame.decode` child (the root
-        // cannot exist yet — its name *is* the decode's output).
-        let decode_started = self.recorder.tracer().is_enabled().then(Instant::now);
+        // Decode is timed only when observability is on; the root span
+        // cannot exist yet (its name *is* the decode's output), so the
+        // `frame.decode` phase opens under it afterwards, back-dated.
+        let decode_started = self.recorder.is_active().then(Instant::now);
         let decoded = Command::decode(trimmed);
-        let decode_cost = decode_started.map(|t| t.elapsed());
         let encoded = match decoded {
             Ok(cmd) => {
                 // Encode while the admission permit is still held:
                 // serializing a megabyte frame is real CPU, and work
                 // the gate does not cover would overlap admitted
                 // commands and erode their latency under overload.
-                let (response, permit, root) = self.execute_gated(conn, cmd, decode_cost);
+                let (response, permit, root) = self.execute_gated(conn, cmd, decode_started);
                 let encoded = {
-                    let _enc = self.recorder.tracer().phase("response.encode");
+                    let _enc = self.recorder.phase("response.encode");
                     response.encode()
                 };
                 drop(root);
@@ -706,7 +705,7 @@ impl Server {
         &self,
         conn: Option<u64>,
         cmd: Command,
-        decode_cost: Option<Duration>,
+        decode_started: Option<Instant>,
     ) -> (Response, Option<InflightPermit<'_>>, SpanGuard) {
         if self.is_draining() && !drain_exempt(&cmd) {
             let resp = self.shed(format!(
@@ -721,24 +720,21 @@ impl Server {
         // itself is a phase in the tree; the sampling decision happens
         // inside `root`, and an unsampled root makes every descendant
         // free.
-        let tracer = self.recorder.tracer();
-        let root = if tracer.is_enabled() {
-            let root =
-                tracer.root(current_shard(), cmd.name(), session_name(&cmd).unwrap_or(""));
-            if let Some(d) = decode_cost {
-                tracer.phase_completed("frame.decode", d);
-            }
-            root
-        } else {
-            SpanGuard::noop()
-        };
+        let root = self.recorder.tracer().root(
+            current_shard(),
+            cmd.name(),
+            session_name(&cmd).unwrap_or(""),
+        );
+        if let Some(started) = decode_started {
+            drop(self.recorder.phase_since("frame.decode", started));
+        }
         // `shutdown` bypasses admission: a drain must be possible on an
         // overloaded server — that is when it is most needed.
         let permit = if matches!(cmd, Command::Shutdown) {
             None
         } else {
             let admitted = {
-                let _wait = tracer.phase("admission.wait");
+                let _wait = self.recorder.phase("admission.wait");
                 self.admit()
             };
             match admitted {
@@ -746,11 +742,8 @@ impl Server {
                 Err(resp) => return (resp, None, root),
             }
         };
-        let _span = self.recorder.is_enabled().then(|| {
-            let name = cmd.name();
-            self.recorder.counter(&format!("server.cmd.{name}")).inc();
-            self.recorder.span(&format!("server.cmd.{name}.seconds"))
-        });
+        self.recorder.counter(cmd.metric_name()).inc();
+        let _phase = self.recorder.phase(cmd.metric_name());
         let deadline = Deadline::start(self.registry.limits().deadlines.budget_for(cmd.class()));
         if deadline.expired() {
             // Only reachable with a zero budget: already out of time
@@ -1275,7 +1268,7 @@ impl Server {
             if let Some(j) = &mut live.journal {
                 // Covers the write *and* any `sync_every` fsync — the
                 // durability cost an append profile must show.
-                let _j = self.recorder.tracer().phase("journal.append");
+                let _j = self.recorder.phase("journal.append");
                 if let Err(e) = j.append(seq, text) {
                     return err(ErrorKind::JournalIo, format!("journal append failed: {e}"));
                 }
@@ -1406,7 +1399,7 @@ impl Server {
                 return;
             }
         }
-        let _push = self.recorder.tracer().phase("subscriber.push");
+        let _push = self.recorder.phase("subscriber.push");
         let view = s.analysis.view();
         let revision = s.analysis.revision();
         let live = s.live.as_mut().expect("publish_delta is only called on live sessions");
@@ -1640,7 +1633,7 @@ impl Server {
             }
         }
         let mut s = {
-            let _wait = self.recorder.tracer().phase("session.lock");
+            let _wait = self.recorder.phase("session.lock");
             match self.lock_admitted(&handle) {
                 Ok(g) => g,
                 Err(resp) => return resp,

@@ -276,8 +276,8 @@ impl TraceLoader {
 
     /// Wires an observability recorder: every load then reports line /
     /// byte / event / drop / quarantine tallies, budget-breach events,
-    /// and phase timings (`trace.load.seconds`, `trace.finish.seconds`)
-    /// into it. The default disabled recorder costs nothing.
+    /// and the `trace.load` and `trace.finish` phases into it. The
+    /// default disabled recorder costs nothing.
     #[must_use]
     pub fn recorder(mut self, recorder: Recorder) -> TraceLoader {
         self.recorder = recorder;
@@ -294,12 +294,9 @@ impl TraceLoader {
     /// * In both modes: [`TraceError::Io`] when the stream itself
     ///   fails. A `Lenient` load never fails on *content*.
     pub fn load<R: BufRead>(&self, reader: R) -> Result<LoadReport, TraceError> {
-        let _load_span = self.recorder.span("trace.load.seconds");
-        let result = {
-            // Joins the tree of whatever command drove this load.
-            let _parse = self.recorder.tracer().phase("trace.parse");
-            Ingest::new(self.mode, self.budget, self.recorder.clone()).run(reader)
-        };
+        // Joins the tree of whatever command drove this load.
+        let _load = self.recorder.phase("trace.load");
+        let result = Ingest::new(self.mode, self.budget, self.recorder.clone()).run(reader);
         if self.recorder.is_enabled() {
             match &result {
                 Ok(report) => {
@@ -520,7 +517,7 @@ impl Ingest {
         // The finish phase (signal assembly, state sorting) is the
         // non-streaming tail of a load; timed separately so a slow load
         // can be blamed on parsing vs. assembly.
-        let _finish_span = self.recorder.span("trace.finish.seconds");
+        let _finish = self.recorder.phase("trace.finish");
         let span_end = self.span.map_or(0.0, |(_, e)| e);
         self.builder.note_dropped(self.dropped as u64);
         let mut trace = self.builder.finish(span_end);

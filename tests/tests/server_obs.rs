@@ -9,11 +9,17 @@
 //!    responses: every counter, gauge, histogram sample count, and
 //!    event the wire exposes is a pure function of the command
 //!    history, never of wall time.
+//! 3. **One timing primitive** — every timed scope is one phase, which
+//!    feeds its `<name>.seconds` histogram and its span alike, with
+//!    metrics alone, tracing alone, or both.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use viva::Theme;
+use viva_obs::{Recorder, SpanId, Tracer};
 use viva_server::protocol::{Command, Response};
-use viva_server::{Server, ServerLimits};
+use viva_server::{Server, ServerLimits, SessionRegistry};
 use viva_trace::{ContainerKind, RecoveryMode, TraceBuilder};
 
 /// The canonical two-cluster trace, as CSV for `load_trace`.
@@ -97,6 +103,83 @@ fn golden_stats_transcript_pins_reset_semantics() {
         }
     }
     assert_eq!(out, golden, "stats replay must match the golden bytes");
+}
+
+// ---------------------------------------------------------------------
+// One timing primitive
+// ---------------------------------------------------------------------
+
+/// Per-phase tallies of one run: histogram sample counts (server and
+/// session recorders summed, keyed by phase name) and span counts.
+type PhaseCounts = (BTreeMap<String, u64>, BTreeMap<String, u64>);
+
+/// Drives every timed layer (load, slice, render with and without a
+/// camera, aggregate, relax) through a server observed by `recorder`.
+fn drive_phases(recorder: Recorder) -> PhaseCounts {
+    let server = Server::with_observability(ServerLimits::default(), recorder);
+    let s = || "a".to_owned();
+    let render = |zoom| Command::Render {
+        session: s(),
+        width: 640.0,
+        height: 480.0,
+        theme: Theme::Light,
+        labels: false,
+        zoom,
+        pan_x: None,
+        pan_y: None,
+    };
+    let script = [
+        Command::LoadTrace { session: s(), mode: RecoveryMode::Strict, text: trace_csv(), trace: None },
+        Command::SetTimeSlice { session: s(), start: 2.0, end: 8.0 },
+        render(None),
+        render(Some(2.0)),
+        Command::Aggregate { session: s(), metric: "power_used".into(), group: "c1".into() },
+        Command::Relax { session: s(), steps: 5 },
+    ];
+    for cmd in &script {
+        let resp = server.handle_line(&cmd.encode()).expect("a response");
+        assert!(resp.starts_with("{\"ok\""), "{resp}");
+    }
+    let slot = server.registry().peek("a").expect("session a");
+    let session = SessionRegistry::lock_session(&slot).analysis.recorder().snapshot();
+    let mut histograms = BTreeMap::new();
+    for h in server.recorder().snapshot().histograms.iter().chain(&session.histograms) {
+        let phase = h.name.strip_suffix(".seconds").expect("every histogram is a phase's");
+        *histograms.entry(phase.to_owned()).or_default() += h.count;
+    }
+    let mut spans = BTreeMap::new();
+    let (records, _) = server.tracer().finished_spans();
+    for r in records.iter().filter(|r| r.parent != SpanId::NONE) {
+        *spans.entry(r.name.to_owned()).or_default() += 1;
+    }
+    (histograms, spans)
+}
+
+#[test]
+fn every_phase_feeds_its_histogram_and_its_span_alike() {
+    let tracer = || Tracer::enabled(1, 42, 1);
+    let (both_hist, both_spans) = drive_phases(Recorder::enabled().with_tracer(tracer()));
+    let names: BTreeSet<&String> = both_hist.keys().chain(both_spans.keys()).collect();
+    for name in names {
+        let hist = both_hist.get(name).copied().unwrap_or(0);
+        let spans = both_spans.get(name).copied().unwrap_or(0);
+        assert_eq!(hist, spans, "phase {name}: {hist} histogram samples, {spans} spans");
+    }
+
+    // Tracing alone registers no histogram, yet every deep layer still
+    // shows up in the trace, exactly as often as with metrics on.
+    let (hist, spans) = drive_phases(Recorder::disabled().with_tracer(tracer()));
+    assert!(hist.is_empty(), "tracing only registered {hist:?}");
+    for phase in ["agg.index.build", "agg.index.aggregate", "layout.step", "lod.cut", "session.render"]
+    {
+        assert!(spans.get(phase).is_some_and(|n| *n > 0), "no {phase} span in {spans:?}");
+    }
+    assert_eq!(spans, both_spans);
+
+    // Metrics alone record no span and the same histogram samples.
+    let (hist, spans) = drive_phases(Recorder::enabled());
+    assert!(spans.is_empty(), "metrics only recorded {spans:?}");
+    assert_eq!(hist, both_hist);
 }
 
 // ---------------------------------------------------------------------
