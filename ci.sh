@@ -47,6 +47,12 @@ fi
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> cargo build viva-perf (the benchmark, outside the workspace)"
+# viva-perf uses the server's public protocol API, so a change that
+# breaks it must fail here rather than first in a benchmark run. The
+# build writes only to viva-perf/target; --locked keeps its lock file.
+cargo build --release --offline --locked --manifest-path viva-perf/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -18,6 +18,8 @@
 //! Serialization goes through the same canonical JSON codec as the wire
 //! protocol ([`crate::json`]): fixed member order, sorted collections,
 //! shortest-round-trip numbers. Same checkpoint, same bytes, always.
+//! Decoding reads through the protocol's field readers, with errors
+//! naming a `checkpoint field`.
 //!
 //! What a checkpoint deliberately does **not** carry:
 //!
@@ -39,8 +41,8 @@ use viva_trace::{
     ContainerId, MetricId, RecoveryMode, ResourceBudget, Trace, TraceError, TraceLoader,
 };
 
-use crate::json::{Json, ObjectWriter};
-use crate::protocol::DecodeError;
+use crate::json::{self, At, FromWire, Json, Members, ObjectWriter, ToWire};
+use crate::protocol::{wire_struct, DecodeError};
 use crate::store::{content_hash, hash_token};
 
 /// Format version written by [`SessionCheckpoint::capture`]. Bump on
@@ -56,17 +58,21 @@ pub const CHECKPOINT_VERSION: u64 = 3;
 /// Oldest checkpoint version [`SessionCheckpoint::restore`] accepts.
 pub const OLDEST_RESTORABLE_VERSION: u64 = 2;
 
-/// Position and pin state of one visible node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodePlacement {
-    /// Container index (stable across the canonical CSV round trip).
-    pub container: u64,
-    /// Layout x coordinate.
-    pub x: f64,
-    /// Layout y coordinate.
-    pub y: f64,
-    /// Whether the node is pinned (dragged and not yet released).
-    pub pinned: bool,
+wire_struct! {
+    /// Position and pin state of one visible node.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct NodePlacement {
+        /// Container index (stable across the canonical CSV round trip).
+        #[wire = "c"]
+        pub container: u64,
+        /// Layout x coordinate.
+        pub x: f64,
+        /// Layout y coordinate.
+        pub y: f64,
+        /// Whether the node is pinned (dragged and not yet released).
+        #[wire = "pin"]
+        pub pinned: bool,
+    }
 }
 
 /// A deterministic, versioned snapshot of one session's view state.
@@ -357,194 +363,80 @@ impl SessionCheckpoint {
 
     /// Serializes to the canonical one-line JSON form.
     pub fn encode(&self) -> String {
-        ObjectWriter::encode(|o| self.write_members(o))
+        json::encode(self)
     }
 
     /// Parses a checkpoint from its canonical JSON line.
     pub fn decode(line: &str) -> Result<SessionCheckpoint, DecodeError> {
-        let v = Json::parse(line)
-            .map_err(|e| DecodeError { message: format!("invalid JSON: {e}") })?;
-        SessionCheckpoint::from_json(v)
+        json::decode(line, "checkpoint")
     }
+}
 
-    /// Writes the checkpoint's members; the trace CSV, by far the
-    /// largest, straight from `self`.
-    pub(crate) fn write_members(&self, o: &mut ObjectWriter<'_>) {
-        let num = Json::Num;
-        o.members(vec![
-            ("version", num(self.version as f64)),
-            ("session", Json::Str(self.session.clone())),
-            ("revision", num(self.revision as f64)),
-            (
-                "slice",
-                Json::Obj(vec![
-                    ("start".into(), num(self.slice_start)),
-                    ("end".into(), num(self.slice_end)),
-                ]),
-            ),
-            (
-                "collapsed",
-                Json::Arr(self.collapsed.iter().map(|&c| num(c as f64)).collect()),
-            ),
-            (
-                "forces",
-                Json::Obj(vec![
-                    ("repulsion".into(), num(self.forces.0)),
-                    ("spring".into(), num(self.forces.1)),
-                    ("damping".into(), num(self.forces.2)),
-                ]),
-            ),
-            (
-                "scaling",
-                Json::Obj(
-                    self.scaling.iter().map(|(g, f)| (g.clone(), num(*f))).collect(),
-                ),
-            ),
-            (
-                "nodes",
-                Json::Arr(
-                    self.placements
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("c".into(), num(p.container as f64)),
-                                ("x".into(), num(p.x)),
-                                ("y".into(), num(p.y)),
-                                ("pin".into(), Json::Bool(p.pinned)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "quarantined",
-                Json::Arr(
-                    self.quarantined
-                        .iter()
-                        .map(|&(c, m, n)| {
-                            Json::Arr(vec![num(c as f64), num(m as f64), num(n as f64)])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("ingest_dropped", num(self.ingest_dropped as f64)),
-        ]);
-        // Optional member: absent for batch sessions, so version-3
-        // checkpoints of non-streaming sessions are byte-identical to
-        // version-2 ones apart from the version number.
-        if let Some((id, last_seq)) = &self.journal {
-            o.object("journal", |o| {
-                o.str("id", id);
-                o.member("last_seq", &num(*last_seq as f64));
+impl ToWire for SessionCheckpoint {
+    fn write(&self, out: &mut String) {
+        ObjectWriter::write(out, |o| {
+            o.value("version", &self.version);
+            o.value("session", &self.session);
+            o.value("revision", &self.revision);
+            o.object("slice", |o| {
+                o.value("start", &self.slice_start);
+                o.value("end", &self.slice_end);
             });
-        }
-        o.str("trace_hash", &self.trace_hash);
-        o.str("trace_csv", &self.trace_csv);
+            o.value("collapsed", &self.collapsed);
+            o.object("forces", |o| {
+                o.value("repulsion", &self.forces.0);
+                o.value("spring", &self.forces.1);
+                o.value("damping", &self.forces.2);
+            });
+            o.map("scaling", &self.scaling);
+            o.value("nodes", &self.placements);
+            o.value("quarantined", &self.quarantined);
+            o.value("ingest_dropped", &self.ingest_dropped);
+            // Optional member: absent for batch sessions, so version-3
+            // checkpoints of non-streaming sessions are byte-identical to
+            // version-2 ones apart from the version number.
+            if let Some((id, last_seq)) = &self.journal {
+                o.object("journal", |o| {
+                    o.value("id", id);
+                    o.value("last_seq", last_seq);
+                });
+            }
+            o.value("trace_hash", &self.trace_hash);
+            o.value("trace_csv", &self.trace_csv);
+        });
     }
+}
 
-    /// Decodes a checkpoint, moving the trace CSV out of `v` rather than
-    /// copying it.
-    pub(crate) fn from_json(mut v: Json) -> Result<SessionCheckpoint, DecodeError> {
-        let bad = |m: &str| DecodeError { message: m.to_owned() };
-        let uint = |v: &Json, k: &str| -> Result<u64, DecodeError> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad(&format!("missing or non-integer checkpoint field {k:?}")))
-        };
-        let num = |v: &Json, k: &str| -> Result<f64, DecodeError> {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad(&format!("missing or non-numeric checkpoint field {k:?}")))
-        };
-        let text = |v: &Json, k: &str| -> Result<String, DecodeError> {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| bad(&format!("missing or non-string checkpoint field {k:?}")))
-        };
-
-        let slice = v.get("slice").ok_or_else(|| bad("missing checkpoint field \"slice\""))?;
-        let forces = v.get("forces").ok_or_else(|| bad("missing checkpoint field \"forces\""))?;
-        let collapsed = match v.get("collapsed") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|i| i.as_u64().ok_or_else(|| bad("non-integer collapsed entry")))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(bad("missing or non-array checkpoint field \"collapsed\"")),
-        };
-        let scaling = match v.get("scaling") {
-            Some(Json::Obj(members)) => members
-                .iter()
-                .map(|(g, f)| {
-                    f.as_f64()
-                        .map(|f| (g.clone(), f))
-                        .ok_or_else(|| bad("non-numeric scaling slider"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(bad("missing or non-object checkpoint field \"scaling\"")),
-        };
-        let placements = match v.get("nodes") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|p| {
-                    Ok(NodePlacement {
-                        container: uint(p, "c")?,
-                        x: num(p, "x")?,
-                        y: num(p, "y")?,
-                        pinned: p
-                            .get("pin")
-                            .and_then(Json::as_bool)
-                            .ok_or_else(|| bad("missing or non-boolean placement \"pin\""))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, DecodeError>>()?,
-            _ => return Err(bad("missing or non-array checkpoint field \"nodes\"")),
-        };
-        let quarantined = match v.get("quarantined") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|e| match e {
-                    Json::Arr(t) if t.len() == 3 => {
-                        let g = |i: usize| {
-                            t[i].as_u64().ok_or_else(|| bad("non-integer quarantine entry"))
-                        };
-                        Ok((g(0)?, g(1)?, g(2)?))
-                    }
-                    _ => Err(bad("quarantine entry must be a [container, metric, count] triple")),
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(bad("missing or non-array checkpoint field \"quarantined\"")),
-        };
-
+impl FromWire for SessionCheckpoint {
+    /// Moves the trace CSV out of the parsed line rather than copying it.
+    fn read(v: Json, at: At<'_>) -> Result<SessionCheckpoint, DecodeError> {
+        let mut m = Members::read(v, at)?.scoped("checkpoint ");
+        let (version, session, revision) =
+            (m.field("version")?, m.field("session")?, m.field("revision")?);
+        let mut slice: Members = m.field("slice")?;
+        let (slice_start, slice_end) = (slice.field("start")?, slice.field("end")?);
+        let collapsed = m.field("collapsed")?;
+        let mut forces: Members = m.field("forces")?;
         Ok(SessionCheckpoint {
-            version: uint(&v, "version")?,
-            session: text(&v, "session")?,
-            revision: uint(&v, "revision")?,
-            slice_start: num(slice, "start")?,
-            slice_end: num(slice, "end")?,
+            version,
+            session,
+            revision,
+            slice_start,
+            slice_end,
             collapsed,
-            forces: (num(forces, "repulsion")?, num(forces, "spring")?, num(forces, "damping")?),
-            scaling,
-            placements,
-            quarantined,
-            ingest_dropped: uint(&v, "ingest_dropped")?,
-            journal: match v.get("journal") {
-                None | Some(Json::Null) => None,
-                Some(j) => Some((text(j, "id")?, uint(j, "last_seq")?)),
+            forces: (forces.field("repulsion")?, forces.field("spring")?, forces.field("damping")?),
+            scaling: m.map("scaling")?,
+            placements: m.field("nodes")?,
+            quarantined: m.field("quarantined")?,
+            ingest_dropped: m.field("ingest_dropped")?,
+            journal: match m.field::<Option<Members>>("journal")? {
+                Some(mut j) => Some((j.field("id")?, j.field("last_seq")?)),
+                None => None,
             },
             // Absent on version-1 checkpoints; they decode, then the
             // version check in restore reports the typed error.
-            trace_hash: match v.get("trace_hash") {
-                None | Some(Json::Null) => String::new(),
-                Some(h) => h
-                    .as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| bad("non-string checkpoint field \"trace_hash\""))?,
-            },
-            trace_csv: match v.take("trace_csv") {
-                Some(Json::Str(csv)) => csv,
-                _ => return Err(bad("missing or non-string checkpoint field \"trace_csv\"")),
-            },
+            trace_hash: m.field::<Option<String>>("trace_hash")?.unwrap_or_default(),
+            trace_csv: m.field("trace_csv")?,
         })
     }
 }

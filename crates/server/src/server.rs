@@ -672,16 +672,7 @@ impl Server {
                 drop(permit);
                 encoded
             }
-            Err(e) => {
-                let kind = if e.message.starts_with("unknown command") {
-                    ErrorKind::UnknownCommand
-                } else if e.message.starts_with("bad theme") {
-                    ErrorKind::BadTheme
-                } else {
-                    ErrorKind::Protocol
-                };
-                err(kind, e.message).encode()
-            }
+            Err(e) => err(e.kind, e.message).encode(),
         };
         Some(encoded)
     }

@@ -19,6 +19,8 @@ use std::sync::{Arc, Mutex};
 use viva_agg::AggIndex;
 use viva_trace::Trace;
 
+use crate::protocol::wire_struct;
+
 /// One stored trace: the shared data, its (optional) shared index, and
 /// the identity facts `list_traces` reports.
 #[derive(Debug, Clone)]
@@ -33,20 +35,22 @@ pub struct StoredTrace {
     pub events: u64,
 }
 
-/// One row of the `list_traces` answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// The store name.
-    pub name: String,
-    /// Content hash, 16 lowercase hex digits.
-    pub hash: String,
-    /// Containers in the trace.
-    pub containers: u64,
-    /// Event records in the trace.
-    pub events: u64,
-    /// Sessions currently sharing the trace (`Arc` strong count minus
-    /// the store's own reference).
-    pub sessions: u64,
+wire_struct! {
+    /// One row of the `list_traces` answer.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TraceEntry {
+        /// The store name.
+        pub name: String,
+        /// Content hash, 16 lowercase hex digits.
+        pub hash: String,
+        /// Containers in the trace.
+        pub containers: u64,
+        /// Event records in the trace.
+        pub events: u64,
+        /// Sessions currently sharing the trace (`Arc` strong count minus
+        /// the store's own reference).
+        pub sessions: u64,
+    }
 }
 
 /// The server's registry of loaded traces. All methods take `&self`;

@@ -9,14 +9,17 @@
 //!    transcripts, and those bytes match the checked-in golden file.
 //!    This is the property `ci.sh server-smoke` holds end to end over
 //!    the real binaries.
+//! 3. **Pinned decode errors** — each way a request line can fail to
+//!    decode answers one exact error line (kind and message), because
+//!    clients see those texts.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use viva::Theme;
 use viva_server::protocol::{
-    Command, ErrorKind, Response, SessionStats, SpanNode, StatsBlock, StatsEvent,
+    Command, DeltaNode, ErrorKind, Push, Response, SessionStats, SpanNode, StatsBlock, StatsEvent,
 };
-use viva_server::{Server, ServerLimits, TraceEntry};
+use viva_server::{NodePlacement, Server, ServerLimits, SessionCheckpoint, TraceEntry};
 use viva_trace::RecoveryMode;
 
 // ---------------------------------------------------------------------
@@ -98,17 +101,77 @@ fn command() -> impl Strategy<Value = Command> {
         (name(), name(), name())
             .prop_map(|(session, metric, group)| Command::Aggregate { session, metric, group }),
         (
-            (name(), num(), num(), theme(), prop_oneof![Just(false), Just(true)]),
+            (name(), num(), num(), theme(), boolean()),
             (opt_num(), opt_num(), opt_num()),
         )
             .prop_map(|((session, width, height, theme, labels), (zoom, pan_x, pan_y))| {
                 Command::Render { session, width, height, theme, labels, zoom, pan_x, pan_y }
             }),
-        (opt_name(), prop_oneof![Just(false), Just(true)])
+        (opt_name(), boolean())
             .prop_map(|(session, reset)| Command::Stats { session, reset }),
-        (opt_name(), prop_oneof![Just(None), uint().prop_map(Some)])
-            .prop_map(|(session, limit)| Command::Spans { session, limit }),
+        (opt_name(), opt_uint()).prop_map(|(session, limit)| Command::Spans { session, limit }),
+        name().prop_map(|session| Command::Checkpoint { session }),
+        (name(), prop_oneof![Just(None), checkpoint().prop_map(|c| Some(Box::new(c)))])
+            .prop_map(|(session, state)| Command::Restore { session, state }),
+        (name(), uint(), name())
+            .prop_map(|(session, seq, text)| Command::Append { session, seq, text }),
+        name().prop_map(|session| Command::Seal { session }),
+        (name(), opt_uint())
+            .prop_map(|(session, from_seq)| Command::Subscribe { session, from_seq }),
+        Just(Command::Shutdown),
     ]
+}
+
+fn opt_uint() -> impl Strategy<Value = Option<u64>> {
+    prop_oneof![Just(None), uint().prop_map(Some)]
+}
+
+fn boolean() -> impl Strategy<Value = bool> {
+    prop_oneof![Just(false), Just(true)]
+}
+
+/// A checkpoint with every member exercised, the optional journal link
+/// included; the values need not describe a restorable session.
+fn checkpoint() -> impl Strategy<Value = SessionCheckpoint> {
+    let placement = (uint(), num(), num(), boolean())
+        .prop_map(|(container, x, y, pinned)| NodePlacement { container, x, y, pinned });
+    (
+        (uint(), name(), uint(), (num(), num())),
+        (
+            proptest::collection::vec(uint(), 0..3),
+            (num(), num(), num()),
+            proptest::collection::vec((name(), num()), 0..3),
+        ),
+        (
+            proptest::collection::vec(placement, 0..3),
+            proptest::collection::vec((uint(), uint(), uint()), 0..3),
+            uint(),
+        ),
+        (prop_oneof![Just(None), (name(), uint()).prop_map(Some)], name(), name()),
+    )
+        .prop_map(
+            |(
+                (version, session, revision, (slice_start, slice_end)),
+                (collapsed, forces, scaling),
+                (placements, quarantined, ingest_dropped),
+                (journal, trace_hash, trace_csv),
+            )| SessionCheckpoint {
+                version,
+                session,
+                revision,
+                slice_start,
+                slice_end,
+                collapsed,
+                forces,
+                scaling,
+                placements,
+                quarantined,
+                ingest_dropped,
+                journal,
+                trace_hash,
+                trace_csv,
+            },
+        )
 }
 
 fn stats_block() -> impl Strategy<Value = StatsBlock> {
@@ -149,8 +212,17 @@ fn error_kind() -> impl Strategy<Value = ErrorKind> {
         ErrorKind::ParseTrace,
         ErrorKind::BudgetExceeded,
         ErrorKind::NoTrace,
+        ErrorKind::DeadlineExceeded,
+        ErrorKind::BadCheckpoint,
+        ErrorKind::NotLive,
+        ErrorKind::SessionSealed,
+        ErrorKind::JournalIo,
     ];
-    (0usize..kinds.len()).prop_map(move |i| kinds[i])
+    prop_oneof![
+        (0usize..kinds.len()).prop_map(move |i| kinds[i]),
+        uint().prop_map(|retry_after_ms| ErrorKind::Overloaded { retry_after_ms }),
+        uint().prop_map(|expected| ErrorKind::SeqGap { expected }),
+    ]
 }
 
 fn opt_name() -> impl Strategy<Value = Option<String>> {
@@ -182,11 +254,11 @@ fn response() -> impl Strategy<Value = Response> {
         (num(), num(), num())
             .prop_map(|(repulsion, spring, damping)| Response::Forces { repulsion, spring, damping }),
         (uint(), opt_name()).prop_map(|(steps, frozen)| Response::Relaxed { steps, frozen }),
-        ((uint(), uint()), (num(), num()), (num(), num(), num()), prop_oneof![Just(false), Just(true)])
+        ((uint(), uint()), (num(), num()), (num(), num(), num()), boolean())
             .prop_map(|((members, quarantined), (integral, mean), (min, max, median), empty)| {
                 Response::Aggregated { members, integral, mean, min, max, median, quarantined, empty }
             }),
-        (uint(), prop_oneof![Just(false), Just(true)], name())
+        (uint(), boolean(), name())
             .prop_map(|(revision, cached, svg)| Response::Frame { revision, cached, svg }),
         (name(), name(), (uint(), uint()), (num(), num())).prop_map(
             |(session, trace, (containers, events), (start, end))| Response::Attached {
@@ -256,6 +328,40 @@ fn response() -> impl Strategy<Value = Response> {
             ),
         )
             .prop_map(|(dropped, spans)| Response::Spans { dropped, spans }),
+        (name(), checkpoint())
+            .prop_map(|(session, state)| Response::Checkpointed { session, state: Box::new(state) }),
+        (name(), uint()).prop_map(|(session, revision)| Response::Restored { session, revision }),
+        (name(), uint(), uint(), boolean()).prop_map(|(session, seq, revision, duplicate)| {
+            Response::Appended { session, seq, revision, duplicate }
+        }),
+        (name(), uint()).prop_map(|(session, last_seq)| Response::Sealed { session, last_seq }),
+        (name(), uint())
+            .prop_map(|(session, last_seq)| Response::Subscribed { session, last_seq }),
+        (uint(), uint()).prop_map(|(sessions, checkpointed)| Response::ShutdownStarted {
+            sessions,
+            checkpointed
+        }),
+    ]
+}
+
+fn push() -> impl Strategy<Value = Push> {
+    let node = ((uint(), name()), (num(), num(), uint())).prop_map(
+        |((container, label), (fill, size, members))| DeltaNode { container, label, fill, size, members },
+    );
+    prop_oneof![
+        (
+            (name(), uint(), uint()),
+            proptest::collection::vec(node, 0..3),
+            proptest::collection::vec(uint(), 0..3),
+        )
+            .prop_map(|((session, seq, revision), changed, removed)| Push::Delta {
+                session,
+                seq,
+                revision,
+                changed,
+                removed
+            }),
+        (name(), uint()).prop_map(|(session, resume_seq)| Push::Lagging { session, resume_seq }),
     ]
 }
 
@@ -284,6 +390,18 @@ proptest! {
         let back = Response::decode(&line)
             .map_err(|e| TestCaseError::fail(format!("decode {line}: {e}")))?;
         prop_assert_eq!(&back, &resp);
+        prop_assert_eq!(back.encode(), line);
+    }
+
+    /// decode ∘ encode is the identity on pushes, and canonical; every
+    /// encoded push is recognized as one.
+    #[test]
+    fn push_codec_is_identity(push in push()) {
+        let line = push.encode();
+        prop_assert!(Push::is_push(&line), "{}", line);
+        let back = Push::decode(&line)
+            .map_err(|e| TestCaseError::fail(format!("decode {line}: {e}")))?;
+        prop_assert_eq!(&back, &push);
         prop_assert_eq!(back.encode(), line);
     }
 }
@@ -327,5 +445,117 @@ fn golden_transcript_replays_byte_identically() {
     for line in first.lines() {
         let resp = Response::decode(line).expect("transcript line decodes");
         assert_eq!(resp.encode(), line, "transcript lines are canonical");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Decode errors
+// ---------------------------------------------------------------------
+
+/// A valid inline `restore` state; each checkpoint case below breaks
+/// one member of it.
+const STATE: &str = r#"{"version":3,"session":"s","revision":0,"slice":{"start":0,"end":10},"collapsed":[],"forces":{"repulsion":100,"spring":2,"damping":0.6},"scaling":{},"nodes":[{"c":1,"x":0,"y":0,"pin":false}],"quarantined":[],"ingest_dropped":0,"journal":{"id":"s","last_seq":1},"trace_hash":"0000000000000000","trace_csv":"span,0,10\n"}"#;
+
+/// Every way a request line can fail to decode answers one exact line:
+/// the error kind and the message clients see.
+#[test]
+fn decode_error_texts_are_pinned() {
+    let restore = |from: &str, to: &str| {
+        assert!(STATE.contains(from), "{from}");
+        format!(
+            r#"{{"cmd":"restore","session":"s","state":{}}}"#,
+            STATE.replacen(from, to, 1)
+        )
+    };
+    let cases: Vec<(String, &str)> = vec![
+        (r#"not json"#.into(),
+            r#"{"err":"protocol","message":"invalid JSON: expected \"null\" at byte 0"}"#),
+        (r#"{"cmd":"ping""#.into(),
+            r#"{"err":"protocol","message":"invalid JSON: expected ',' or '}' at byte 13"}"#),
+        (r#"[1,2]"#.into(),
+            r#"{"err":"protocol","message":"request must be a JSON object"}"#),
+        (r#""ping""#.into(),
+            r#"{"err":"protocol","message":"request must be a JSON object"}"#),
+        (r#"{"session":"s"}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-string field \"cmd\""}"#),
+        (r#"{"cmd":7}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-string field \"cmd\""}"#),
+        (r#"{"cmd":"warp"}"#.into(),
+            r#"{"err":"unknown_command","message":"unknown command \"warp\""}"#),
+        (r#"{"cmd":"load_trace","session":"s","mode":"yolo","text":""}"#.into(),
+            r#"{"err":"protocol","message":"unknown mode \"yolo\" (expected \"strict\" or \"lenient\")"}"#),
+        (r#"{"cmd":"load_trace","session":"s","text":""}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-string field \"mode\""}"#),
+        (r#"{"cmd":"load_trace","session":"s","mode":"strict"}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-string field \"text\""}"#),
+        (r#"{"cmd":"load_trace","session":"s","mode":"strict","text":"","trace":5}"#.into(),
+            r#"{"err":"protocol","message":"non-string field \"trace\""}"#),
+        (r#"{"cmd":"render","session":"s","width":800,"height":600,"theme":"sepia"}"#.into(),
+            r#"{"err":"bad_theme","message":"bad theme: unknown theme \"sepia\" (expected \"light\" or \"dark\")"}"#),
+        (r#"{"cmd":"render","session":"s","width":800,"height":600}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-string field \"theme\""}"#),
+        (r#"{"cmd":"render","session":"s","width":"800","height":600,"theme":"light"}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-numeric field \"width\""}"#),
+        (r#"{"cmd":"render","session":"s","width":800,"height":600,"theme":"light","labels":"yes"}"#.into(),
+            r#"{"err":"protocol","message":"non-boolean field \"labels\""}"#),
+        (r#"{"cmd":"render","session":"s","width":800,"height":600,"theme":"light","zoom":"2"}"#.into(),
+            r#"{"err":"protocol","message":"non-numeric field \"zoom\""}"#),
+        (r#"{"cmd":"collapse","session":"s"}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-string field \"container\""}"#),
+        (r#"{"cmd":"close_session","session":5}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-string field \"session\""}"#),
+        (r#"{"cmd":"relax","session":"s","steps":2.5}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-integer field \"steps\""}"#),
+        (r#"{"cmd":"relax","session":"s","steps":-1}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-integer field \"steps\""}"#),
+        (r#"{"cmd":"set_time_slice","session":"s","start":"a","end":1}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-numeric field \"start\""}"#),
+        (r#"{"cmd":"collapse_at_depth","session":"s","depth":4294967296}"#.into(),
+            r#"{"err":"protocol","message":"depth out of range"}"#),
+        (r#"{"cmd":"collapse_at_depth","session":"s","depth":1.5}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-integer field \"depth\""}"#),
+        (r#"{"cmd":"set_forces","session":"s","repulsion":"x"}"#.into(),
+            r#"{"err":"protocol","message":"non-numeric field \"repulsion\""}"#),
+        (r#"{"cmd":"stats","reset":1}"#.into(),
+            r#"{"err":"protocol","message":"non-boolean field \"reset\""}"#),
+        (r#"{"cmd":"stats","session":5}"#.into(),
+            r#"{"err":"protocol","message":"non-string field \"session\""}"#),
+        (r#"{"cmd":"spans","limit":-1}"#.into(),
+            r#"{"err":"protocol","message":"non-integer field \"limit\""}"#),
+        (r#"{"cmd":"subscribe","session":"s","from_seq":"x"}"#.into(),
+            r#"{"err":"protocol","message":"non-integer field \"from_seq\""}"#),
+        (r#"{"cmd":"append","session":"s","seq":1}"#.into(),
+            r#"{"err":"protocol","message":"missing or non-string field \"text\""}"#),
+        (restore(r#""version":3"#, r#""version":"3""#),
+            r#"{"err":"protocol","message":"missing or non-integer checkpoint field \"version\""}"#),
+        (restore(r#""session":"s""#, r#""session":5"#),
+            r#"{"err":"protocol","message":"missing or non-string checkpoint field \"session\""}"#),
+        (restore(r#""start":0"#, r#""start":"x""#),
+            r#"{"err":"protocol","message":"missing or non-numeric checkpoint field \"start\""}"#),
+        (restore(r#""damping":0.6"#, r#""damping":null"#),
+            r#"{"err":"protocol","message":"missing or non-numeric checkpoint field \"damping\""}"#),
+        (restore(r#""collapsed":[]"#, r#""collapsed":{}"#),
+            r#"{"err":"protocol","message":"missing or non-array checkpoint field \"collapsed\""}"#),
+        (restore(r#""nodes":[{"c":1,"x":0,"y":0,"pin":false}]"#, r#""nodes":{}"#),
+            r#"{"err":"protocol","message":"missing or non-array checkpoint field \"nodes\""}"#),
+        (restore(r#""x":0"#, r#""x":"a""#),
+            r#"{"err":"protocol","message":"missing or non-numeric checkpoint field \"x\""}"#),
+        (restore(r#""scaling":{}"#, r#""scaling":[]"#),
+            r#"{"err":"protocol","message":"missing or non-object checkpoint field \"scaling\""}"#),
+        (restore(r#""quarantined":[]"#, r#""quarantined":7"#),
+            r#"{"err":"protocol","message":"missing or non-array checkpoint field \"quarantined\""}"#),
+        (restore(r#""ingest_dropped":0"#, r#""ingest_dropped":-2"#),
+            r#"{"err":"protocol","message":"missing or non-integer checkpoint field \"ingest_dropped\""}"#),
+        (restore(r#""last_seq":1"#, r#""last_seq":-1"#),
+            r#"{"err":"protocol","message":"missing or non-integer checkpoint field \"last_seq\""}"#),
+        (restore(r#""trace_hash":"0000000000000000""#, r#""trace_hash":5"#),
+            r#"{"err":"protocol","message":"non-string checkpoint field \"trace_hash\""}"#),
+        (restore(r#","trace_csv":"span,0,10\n""#, ""),
+            r#"{"err":"protocol","message":"missing or non-string checkpoint field \"trace_csv\""}"#),
+    ];
+    let server = Server::new(ServerLimits::default());
+    for (line, expected) in &cases {
+        let got = server.handle_line(line).expect("a response line");
+        assert_eq!(&got, expected, "{line}");
     }
 }
