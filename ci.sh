@@ -5,7 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 scale_smoke() {
-  echo "==> scale-smoke: columnar+LoD gates, golden LoD transcript replay"
+  echo "==> scale-smoke: columnar+LoD gates, golden LoD and level-jump transcript replays"
   # The reduced fig_scale run exercises the full pipeline (trace build,
   # memory-ratio assertion, LoD cut tiling) without the timing gates.
   cargo run --quiet --release -p viva-bench --bin fig_scale -- --small > /dev/null
@@ -19,6 +19,14 @@ scale_smoke() {
     < tests/data/server_lod.script > /tmp/viva_lod_smoke_2.ndjson
   diff -u tests/data/server_lod.golden /tmp/viva_lod_smoke_1.ndjson
   diff -u /tmp/viva_lod_smoke_1.ndjson /tmp/viva_lod_smoke_2.ndjson
+  # Level jumps (collapse_at_depth 0-3, expand_all, collapse/expand,
+  # relax) over communicating sites, each followed by a camera-less and
+  # a camera render: merges and splits must not move a byte either.
+  for run in 1 2; do
+    target/release/viva-server --stdio \
+      < tests/data/server_levels.script > "/tmp/viva_levels_smoke_$run.ndjson"
+    diff -u tests/data/server_levels.golden "/tmp/viva_levels_smoke_$run.ndjson"
+  done
   rm -f /tmp/viva_lod_smoke_tcp.log
   target/release/viva-server --tcp 127.0.0.1:0 --workers 2 \
     > /dev/null 2> /tmp/viva_lod_smoke_tcp.log &
@@ -33,6 +41,9 @@ scale_smoke() {
   target/release/viva-server-client --tcp "$LOD_ADDR" tests/data/server_lod.script \
     > /tmp/viva_lod_smoke_tcp.ndjson
   diff -u tests/data/server_lod.golden /tmp/viva_lod_smoke_tcp.ndjson
+  target/release/viva-server-client --tcp "$LOD_ADDR" tests/data/server_levels.script \
+    > /tmp/viva_levels_smoke_tcp.ndjson
+  diff -u tests/data/server_levels.golden /tmp/viva_levels_smoke_tcp.ndjson
   echo '{"cmd":"shutdown"}' | target/release/viva-server-client --tcp "$LOD_ADDR" > /dev/null
   wait "$LOD_SRV_PID"
 }

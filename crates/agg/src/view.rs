@@ -79,11 +79,7 @@ impl ViewState {
     ///
     /// Panics when `id` is not part of `tree`.
     pub fn is_visible(&self, tree: &ContainerTree, id: ContainerId) -> bool {
-        if tree
-            .ancestors(id)
-            .iter()
-            .any(|a| self.collapsed.contains(a))
-        {
+        if proper_ancestors(tree, id).any(|a| self.collapsed.contains(&a)) {
             return false;
         }
         self.collapsed.contains(&id) || tree.node(id).is_leaf()
@@ -116,12 +112,13 @@ impl ViewState {
     ///
     /// Panics when `id` is not part of `tree`.
     pub fn representative(&self, tree: &ContainerTree, id: ContainerId) -> Option<ContainerId> {
-        // The outermost collapsed ancestor wins (ancestors are returned
-        // nearest-first, so scan from the root side).
-        for &a in tree.ancestors(id).iter().rev() {
-            if self.collapsed.contains(&a) {
-                return Some(a);
-            }
+        // The outermost collapsed ancestor wins: the walk goes up from
+        // `id`, so the last one it meets.
+        let outermost = proper_ancestors(tree, id)
+            .filter(|a| self.collapsed.contains(a))
+            .last();
+        if outermost.is_some() {
+            return outermost;
         }
         if self.collapsed.contains(&id) || tree.node(id).is_leaf() {
             Some(id)
@@ -134,6 +131,15 @@ impl ViewState {
     pub fn collapsed_count(&self) -> usize {
         self.collapsed.len()
     }
+}
+
+/// The proper ancestors of `id`, nearest first, following parent links
+/// (no allocation, unlike [`ContainerTree::ancestors`]).
+fn proper_ancestors(
+    tree: &ContainerTree,
+    id: ContainerId,
+) -> impl Iterator<Item = ContainerId> + '_ {
+    std::iter::successors(tree.node(id).parent(), |&p| tree.node(p).parent())
 }
 
 #[cfg(test)]

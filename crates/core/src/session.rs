@@ -24,7 +24,7 @@ use viva_agg::{AggIndex, GroupAggregate, TimeSlice, TimeSliceError, ViewState};
 use viva_layout::{FreezeReason, LayoutConfig, LayoutEngine, NodeKey, Vec2};
 use viva_obs::{Counter, Recorder};
 use viva_platform::Platform;
-use viva_trace::{ContainerId, MetricId, Trace, TraceError};
+use viva_trace::{ContainerId, ContainerTree, MetricId, Trace, TraceError};
 
 use crate::lod;
 use crate::mapping::MappingConfig;
@@ -191,6 +191,47 @@ fn key(c: ContainerId) -> NodeKey {
     NodeKey(c.index() as u64)
 }
 
+/// Charge of a (possibly aggregated) node: the number of leaves it
+/// stands for (§4.2: an aggregate's charge is the sum of its members').
+fn charge(tree: &ContainerTree, c: ContainerId) -> f64 {
+    tree.leaf_count(c) as f64
+}
+
+/// Calls `visit(owner, members)` for each of `owners` in order, where
+/// `members` are the containers `items` pairs with that owner, in their
+/// given order (possibly none): a stable counting sort through one
+/// `tree_len`-entry table of group ends. Every owner named in `items`
+/// must be listed in `owners`.
+fn for_each_group(
+    items: &[(ContainerId, ContainerId)],
+    owners: &[ContainerId],
+    tree_len: usize,
+    mut visit: impl FnMut(ContainerId, &[ContainerId]),
+) {
+    let mut end = vec![0u32; tree_len];
+    for &(a, _) in items {
+        end[a.index()] += 1;
+    }
+    let mut offset = 0;
+    for &a in owners {
+        let count = end[a.index()];
+        end[a.index()] = offset;
+        offset += count;
+    }
+    let mut grouped = vec![ContainerId::from_index(0); items.len()];
+    for &(a, c) in items {
+        let at = &mut end[a.index()];
+        grouped[*at as usize] = c;
+        *at += 1;
+    }
+    let mut begin = 0;
+    for &a in owners {
+        let stop = end[a.index()] as usize;
+        visit(a, &grouped[begin..stop]);
+        begin = stop;
+    }
+}
+
 /// Derives host/router ↔ link adjacency from a platform description by
 /// matching resource names to trace containers (§3.1.1's second
 /// option). Resources with no matching container are skipped.
@@ -338,7 +379,7 @@ impl SessionBuilder {
         };
         session.frontier = session.state.visible(session.trace.containers());
         for &c in &session.frontier.clone() {
-            session.layout.add_node(key(c), session.charge_of(c));
+            session.layout.add_node(key(c), charge(session.trace.containers(), c));
         }
         session.sync_edges();
         session
@@ -384,13 +425,6 @@ impl AnalysisSession {
         leaf_edges: Vec<(ContainerId, ContainerId)>,
     ) -> AnalysisSession {
         AnalysisSession::builder(trace).config(config).edges(leaf_edges).build()
-    }
-
-    /// Charge of a (possibly aggregated) node: the number of leaves it
-    /// stands for (§4.2: an aggregate's charge is the sum of its
-    /// members').
-    fn charge_of(&self, c: ContainerId) -> f64 {
-        self.trace.containers().leaves_under(c).len().max(1) as f64
     }
 
     /// The trace under analysis.
@@ -783,7 +817,7 @@ impl AnalysisSession {
         // unrelated to the old frontier) gets a fresh spot.
         for &a in &new_frontier {
             if self.layout.position(key(a)).is_none() {
-                self.layout.add_node(key(a), self.charge_of(a));
+                self.layout.add_node(key(a), charge(self.trace.containers(), a));
             }
         }
         self.frontier = new_frontier;
@@ -792,57 +826,67 @@ impl AnalysisSession {
 
     /// Steps 1 and 2 of [`apply_state`](Self::apply_state): merges the
     /// old nodes a new aggregate swallows and splits the old aggregates
-    /// that expanded. Linear in the two frontiers times the tree depth:
-    /// each departing node is handed to its newly visible ancestors (and
-    /// each arriving node to its departed ancestors) in one pass, in
-    /// frontier order, so member lists and the order of layout calls
-    /// are exactly those of a pairwise scan.
+    /// that expanded. Linear in the two frontiers times the tree depth,
+    /// plus two tree-sized tables (frontier marks, group ends): each
+    /// departing node is handed to its newly visible ancestor (and
+    /// each arriving node to its departed ancestor) in one pass, then
+    /// grouped in frontier order, so member lists and the order of
+    /// layout calls are exactly those of a pairwise scan. Frontiers are
+    /// antichains, so each node has at most one such ancestor.
     fn regroup(&mut self, new_frontier: &[ContainerId]) {
         #[cfg(test)]
         if self.pairwise_regroup {
             return self.regroup_pairwise(new_frontier);
         }
+        const OLD: u8 = 1;
+        const NEW: u8 = 2;
         let tree = self.trace.containers();
-        let old_set: HashSet<ContainerId> = self.frontier.iter().copied().collect();
-        let new_set: HashSet<ContainerId> = new_frontier.iter().copied().collect();
-        let ancestors =
-            |c: ContainerId| std::iter::successors(tree.node(c).parent(), |&p| tree.node(p).parent());
+        let mut mark = vec![0u8; tree.len()];
+        for &o in &self.frontier {
+            mark[o.index()] |= OLD;
+        }
+        for &n in new_frontier {
+            mark[n.index()] |= NEW;
+        }
+        // The nearest proper ancestor of `c` marked exactly `want`.
+        let owner = |c: ContainerId, want: u8| {
+            std::iter::successors(tree.node(c).parent(), |&p| tree.node(p).parent())
+                .find(|a| mark[a.index()] == want)
+        };
 
         // 1. Additions that aggregate existing nodes: merge.
-        let mut members: HashMap<ContainerId, Vec<NodeKey>> = HashMap::new();
-        for &o in self.frontier.iter().filter(|o| !new_set.contains(o)) {
-            for a in ancestors(o).filter(|a| new_set.contains(a) && !old_set.contains(a)) {
-                members.entry(a).or_default().push(key(o));
+        let departing: Vec<(ContainerId, ContainerId)> = self
+            .frontier
+            .iter()
+            .filter(|o| mark[o.index()] & NEW == 0)
+            .filter_map(|&o| Some((owner(o, NEW)?, o)))
+            .collect();
+        let layout = &mut self.layout;
+        for_each_group(&departing, new_frontier, tree.len(), |a, members| {
+            if !members.is_empty() {
+                let members: Vec<NodeKey> = members.iter().map(|&m| key(m)).collect();
+                layout.merge_nodes(key(a), &members);
+                layout.set_charge(key(a), charge(tree, a));
             }
-        }
-        for &a in new_frontier {
-            if let Some(member_keys) = members.get(&a) {
-                self.layout.merge_nodes(key(a), member_keys);
-                self.layout.set_charge(key(a), self.charge_of(a));
-            }
-        }
+        });
         // 2. Removals that disaggregate into new nodes: split.
-        let mut children: HashMap<ContainerId, Vec<ContainerId>> = HashMap::new();
-        for &n in new_frontier.iter().filter(|n| !old_set.contains(n)) {
-            for r in ancestors(n).filter(|r| old_set.contains(r) && !new_set.contains(r)) {
-                children.entry(r).or_default().push(n);
+        let arriving: Vec<(ContainerId, ContainerId)> = new_frontier
+            .iter()
+            .filter(|n| mark[n.index()] & OLD == 0)
+            .filter_map(|&n| Some((owner(n, OLD)?, n)))
+            .collect();
+        for_each_group(&arriving, &self.frontier, tree.len(), |r, kids| {
+            if mark[r.index()] & NEW != 0 || layout.position(key(r)).is_none() {
+                return;
             }
-        }
-        for &r in &self.frontier {
-            if new_set.contains(&r) || self.layout.position(key(r)).is_none() {
-                continue;
+            if kids.is_empty() {
+                layout.remove_node(key(r));
+            } else {
+                let kids: Vec<(NodeKey, f64)> =
+                    kids.iter().map(|&n| (key(n), charge(tree, n))).collect();
+                layout.split_node(key(r), &kids);
             }
-            match children.get(&r) {
-                Some(kids) => {
-                    let kids: Vec<(NodeKey, f64)> =
-                        kids.iter().map(|&n| (key(n), self.charge_of(n))).collect();
-                    self.layout.split_node(key(r), &kids);
-                }
-                None => {
-                    self.layout.remove_node(key(r));
-                }
-            }
-        }
+        });
     }
 
     /// Rebuilds the layout's edge set from the leaf relationships
@@ -1126,7 +1170,7 @@ mod tests {
                 if !members.is_empty() {
                     let member_keys: Vec<NodeKey> = members.iter().map(|&m| key(m)).collect();
                     self.layout.merge_nodes(key(a), &member_keys);
-                    self.layout.set_charge(key(a), self.charge_of(a));
+                    self.layout.set_charge(key(a), charge(tree, a));
                 }
             }
             // 2. Removals that disaggregate into new nodes: split.
@@ -1138,7 +1182,7 @@ mod tests {
                     .iter()
                     .copied()
                     .filter(|&n| !old_set.contains(&n) && is_ancestor_of(r, n))
-                    .map(|n| (key(n), self.charge_of(n)))
+                    .map(|n| (key(n), charge(tree, n)))
                     .collect();
                 if !children.is_empty() {
                     self.layout.split_node(key(r), &children);

@@ -1,7 +1,7 @@
 //! The dynamic layout engine: node/edge bookkeeping, force
 //! integration, pinning, and smooth aggregation morphs.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -59,6 +59,11 @@ impl std::fmt::Display for FreezeReason {
 
 /// Caller-chosen stable identifier of a layout node (the visualization
 /// layer uses trace container ids).
+///
+/// Keys are dense indices: the engine finds a node through a slot table
+/// indexed by `key.0`, so its memory is `O(largest key inserted)`. Use
+/// a container index (or any small integer), never a hash or a sparse
+/// id. Looking up an unknown or huge key allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeKey(pub u64);
 
@@ -69,7 +74,13 @@ struct Node {
     vel: Vec2,
     charge: f64,
     pinned: bool,
+    /// Temporary mark of [`LayoutEngine::merge_nodes`]: set on the members
+    /// being merged, and gone with them when they are removed.
+    merging: bool,
 }
+
+/// Slot-table entry of a key with no node.
+const ABSENT: u32 = u32::MAX;
 
 /// A dynamic force-directed layout.
 ///
@@ -81,10 +92,17 @@ struct Node {
 pub struct LayoutEngine {
     config: LayoutConfig,
     nodes: Vec<Node>,
-    index: HashMap<NodeKey, usize>,
+    /// Dense slot table: `slots[key.0]` is the node's index in `nodes`,
+    /// or [`ABSENT`]. It grows only when a larger key is inserted.
+    slots: Vec<u32>,
     // BTreeSet: deterministic iteration order makes force summation
     // order (and hence floating-point results) reproducible.
     edges: BTreeSet<(NodeKey, NodeKey)>,
+    /// Incident edges per slot: `adjacency[key.0]` holds the other
+    /// endpoint of every edge of `key`, in no particular order. Lets node
+    /// removal and merges touch only the edges they change. It grows
+    /// only when an edge is added, so an edgeless layout keeps it empty.
+    adjacency: Vec<Vec<NodeKey>>,
     rng: SmallRng,
     steps: u64,
     /// Watchdog state: `Some` while frozen.
@@ -179,8 +197,9 @@ impl LayoutEngine {
         LayoutEngine {
             config: config.sanitized(),
             nodes: Vec::new(),
-            index: HashMap::new(),
+            slots: Vec::new(),
             edges: BTreeSet::new(),
+            adjacency: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             steps: 0,
             frozen: None,
@@ -299,27 +318,73 @@ impl LayoutEngine {
 
     /// Adds a node at an explicit position. Returns `false` when the
     /// key already exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `key.0` does not fit in `usize`, or when the slot
+    /// table cannot grow to `key.0 + 1` entries (see [`NodeKey`]).
     pub fn add_node_at(&mut self, key: NodeKey, charge: f64, pos: Vec2) -> bool {
-        if self.index.contains_key(&key) {
+        if self.slot(key).is_some() {
             return false;
         }
-        self.index.insert(key, self.nodes.len());
-        self.nodes.push(Node { key, pos, vel: Vec2::default(), charge, pinned: false });
+        let k = usize::try_from(key.0).expect("a NodeKey is a dense index");
+        if k >= self.slots.len() {
+            self.slots.resize(k + 1, ABSENT);
+        }
+        self.slots[k] = u32::try_from(self.nodes.len()).expect("fewer than 2^32 layout nodes");
+        self.nodes.push(Node {
+            key,
+            pos,
+            vel: Vec2::default(),
+            charge,
+            pinned: false,
+            merging: false,
+        });
         true
     }
 
+    /// Index of `key`'s node in `nodes`, `None` for an unknown key.
+    fn slot(&self, key: NodeKey) -> Option<usize> {
+        let s = *self.slots.get(usize::try_from(key.0).ok()?)?;
+        (s != ABSENT).then_some(s as usize)
+    }
+
     /// Removes a node and its incident edges. Returns `false` for an
-    /// unknown key.
+    /// unknown key. Costs the degree of the node plus the degrees of
+    /// its neighbours.
     pub fn remove_node(&mut self, key: NodeKey) -> bool {
-        let Some(i) = self.index.remove(&key) else {
+        let Some(i) = self.slot(key) else {
             return false;
         };
-        self.nodes.swap_remove(i);
-        if i < self.nodes.len() {
-            self.index.insert(self.nodes[i].key, i);
+        for nb in self.take_incident(key) {
+            self.edges.remove(&Self::edge_key(key, nb));
+            self.unlink(nb, key);
         }
-        self.edges.retain(|&(a, b)| a != key && b != key);
+        self.nodes.swap_remove(i);
+        self.slots[key.0 as usize] = ABSENT;
+        if let Some(moved) = self.nodes.get(i) {
+            self.slots[moved.key.0 as usize] = i as u32;
+        }
         true
+    }
+
+    /// `key`'s incident-edge list, `None` when it has none.
+    fn incident(&mut self, key: NodeKey) -> Option<&mut Vec<NodeKey>> {
+        self.adjacency.get_mut(usize::try_from(key.0).ok()?)
+    }
+
+    /// Takes `key`'s incident-edge list, leaving it empty.
+    fn take_incident(&mut self, key: NodeKey) -> Vec<NodeKey> {
+        self.incident(key).map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Drops `gone` from `key`'s incident-edge list.
+    fn unlink(&mut self, key: NodeKey, gone: NodeKey) {
+        if let Some(list) = self.incident(key) {
+            if let Some(at) = list.iter().position(|&k| k == gone) {
+                list.swap_remove(at);
+            }
+        }
     }
 
     fn edge_key(a: NodeKey, b: NodeKey) -> (NodeKey, NodeKey) {
@@ -337,17 +402,28 @@ impl LayoutEngine {
     ///
     /// Panics when either endpoint is unknown.
     pub fn add_edge(&mut self, a: NodeKey, b: NodeKey) -> bool {
-        assert!(self.index.contains_key(&a), "unknown node {a:?}");
-        assert!(self.index.contains_key(&b), "unknown node {b:?}");
-        if a == b {
+        assert!(self.slot(a).is_some(), "unknown node {a:?}");
+        assert!(self.slot(b).is_some(), "unknown node {b:?}");
+        if a == b || !self.edges.insert(Self::edge_key(a, b)) {
             return false;
         }
-        self.edges.insert(Self::edge_key(a, b))
+        let (ka, kb) = (a.0 as usize, b.0 as usize);
+        if self.adjacency.len() <= ka.max(kb) {
+            self.adjacency.resize_with(ka.max(kb) + 1, Vec::new);
+        }
+        self.adjacency[ka].push(b);
+        self.adjacency[kb].push(a);
+        true
     }
 
     /// Removes an edge; returns whether it existed.
     pub fn remove_edge(&mut self, a: NodeKey, b: NodeKey) -> bool {
-        self.edges.remove(&Self::edge_key(a, b))
+        if !self.edges.remove(&Self::edge_key(a, b)) {
+            return false;
+        }
+        self.unlink(a, b);
+        self.unlink(b, a);
+        true
     }
 
     /// Whether an edge exists.
@@ -362,19 +438,19 @@ impl LayoutEngine {
 
     /// Position of a node.
     pub fn position(&self, key: NodeKey) -> Option<Vec2> {
-        self.index.get(&key).map(|&i| self.nodes[i].pos)
+        self.slot(key).map(|i| self.nodes[i].pos)
     }
 
     /// Charge of a node.
     pub fn charge(&self, key: NodeKey) -> Option<f64> {
-        self.index.get(&key).map(|&i| self.nodes[i].charge)
+        self.slot(key).map(|i| self.nodes[i].charge)
     }
 
     /// Updates a node's charge (e.g. when its aggregate grows).
     /// Returns `false` for an unknown key.
     pub fn set_charge(&mut self, key: NodeKey, charge: f64) -> bool {
-        match self.index.get(&key) {
-            Some(&i) => {
+        match self.slot(key) {
+            Some(i) => {
                 self.nodes[i].charge = charge;
                 true
             }
@@ -386,8 +462,8 @@ impl LayoutEngine {
     /// it, or wants it anchored — "machines being on the north of the
     /// country would be put on the top of the screen", §4.2).
     pub fn pin(&mut self, key: NodeKey) -> bool {
-        match self.index.get(&key) {
-            Some(&i) => {
+        match self.slot(key) {
+            Some(i) => {
                 self.nodes[i].pinned = true;
                 self.nodes[i].vel = Vec2::default();
                 true
@@ -398,8 +474,8 @@ impl LayoutEngine {
 
     /// Unpins a node.
     pub fn unpin(&mut self, key: NodeKey) -> bool {
-        match self.index.get(&key) {
-            Some(&i) => {
+        match self.slot(key) {
+            Some(i) => {
                 self.nodes[i].pinned = false;
                 true
             }
@@ -409,7 +485,7 @@ impl LayoutEngine {
 
     /// Whether a node is pinned.
     pub fn is_pinned(&self, key: NodeKey) -> bool {
-        self.index.get(&key).is_some_and(|&i| self.nodes[i].pinned)
+        self.slot(key).is_some_and(|i| self.nodes[i].pinned)
     }
 
     /// Moves a node to `pos` (mouse drag). The neighbours will follow
@@ -420,8 +496,8 @@ impl LayoutEngine {
         if !(pos.x.is_finite() && pos.y.is_finite()) {
             return false;
         }
-        match self.index.get(&key) {
-            Some(&i) => {
+        match self.slot(key) {
+            Some(i) => {
                 self.nodes[i].pos = pos;
                 self.nodes[i].vel = Vec2::default();
                 true
@@ -510,7 +586,7 @@ impl LayoutEngine {
     fn spring_forces(&self, forces: &mut [Vec2]) {
         let cfg = &self.config;
         for &(a, b) in &self.edges {
-            let (ia, ib) = (self.index[&a], self.index[&b]);
+            let (ia, ib) = (self.slots[a.0 as usize] as usize, self.slots[b.0 as usize] as usize);
             let f = spring_force(
                 self.nodes[ia].pos,
                 self.nodes[ib].pos,
@@ -665,46 +741,52 @@ impl LayoutEngine {
     /// Panics when `key` already exists and is not itself a member.
     pub fn merge_nodes(&mut self, key: NodeKey, members: &[NodeKey]) {
         assert!(
-            !self.index.contains_key(&key) || members.contains(&key),
+            self.slot(key).is_none() || members.contains(&key),
             "aggregate key {key:?} already present"
         );
         let mut total_charge = 0.0;
         let mut weighted = Vec2::default();
         let mut count = 0usize;
-        let mut neighbours: Vec<NodeKey> = Vec::new();
-        let member_set: HashSet<NodeKey> = members.iter().copied().collect();
         for &m in members {
-            let Some(&i) = self.index.get(&m) else { continue };
-            let n = &self.nodes[i];
+            let Some(i) = self.slot(m) else { continue };
+            let n = &mut self.nodes[i];
             total_charge += n.charge;
             weighted += n.pos * n.charge.max(1e-12);
             count += 1;
-            for &(a, b) in &self.edges {
-                if a == m && !member_set.contains(&b) {
-                    neighbours.push(b);
-                }
-                if b == m && !member_set.contains(&a) {
-                    neighbours.push(a);
-                }
-            }
+            n.merging = true;
         }
         if count == 0 {
             return;
         }
         let denom: f64 = members
             .iter()
-            .filter_map(|m| self.index.get(m))
-            .map(|&i| self.nodes[i].charge.max(1e-12))
+            .filter_map(|&m| self.slot(m))
+            .map(|i| self.nodes[i].charge.max(1e-12))
             .sum();
         let barycenter = weighted / denom;
+        // Detach the group, visiting each incident edge once: drop every
+        // edge that touches a member and remember the outside endpoints.
+        let mut neighbours: Vec<NodeKey> = Vec::new();
+        for &m in members {
+            for nb in self.take_incident(m) {
+                self.edges.remove(&Self::edge_key(m, nb));
+                if !self.nodes[self.slots[nb.0 as usize] as usize].merging {
+                    neighbours.push(nb);
+                }
+            }
+        }
+        neighbours.sort();
+        neighbours.dedup();
+        let (slots, nodes) = (&self.slots, &self.nodes);
+        for nb in &neighbours {
+            self.adjacency[nb.0 as usize].retain(|k| !nodes[slots[k.0 as usize] as usize].merging);
+        }
         for &m in members {
             self.remove_node(m);
         }
         self.add_node_at(key, total_charge, barycenter);
-        neighbours.sort();
-        neighbours.dedup();
         for nb in neighbours {
-            if self.index.contains_key(&nb) {
+            if self.slot(nb).is_some() {
                 self.add_edge(key, nb);
             }
         }

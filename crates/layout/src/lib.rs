@@ -21,6 +21,12 @@
 //! what makes interactive aggregation/disaggregation smooth
 //! ([`LayoutEngine::merge_nodes`] / [`LayoutEngine::split_node`]).
 //!
+//! Node keys are dense indices: a [`NodeKey`] should be a container
+//! index, because the engine finds nodes through a slot table indexed
+//! by the key, whose memory is `O(largest key inserted)`. Node and edge
+//! removal and merges then cost the degrees they touch, not the layout
+//! size.
+//!
 //! ## Example
 //!
 //! ```

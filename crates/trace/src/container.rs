@@ -121,6 +121,8 @@ pub struct Container {
     kind: ContainerKind,
     depth: u32,
     children: Vec<ContainerId>,
+    /// Leaves in this container's subtree (1 for a leaf itself).
+    leaves: u32,
 }
 
 impl Container {
@@ -179,6 +181,7 @@ impl ContainerTree {
                 kind: ContainerKind::Root,
                 depth: 0,
                 children: Vec::new(),
+                leaves: 1,
             }],
         }
     }
@@ -223,8 +226,19 @@ impl ContainerTree {
             kind,
             depth,
             children: Vec::new(),
+            leaves: 1,
         });
-        self.nodes[parent.index()].children.push(id);
+        let siblings = &mut self.nodes[parent.index()].children;
+        siblings.push(id);
+        // A leaf parent hands its own count to its first child; a later
+        // child is one more leaf for every ancestor.
+        if siblings.len() > 1 {
+            let mut cur = Some(parent);
+            while let Some(c) = cur {
+                self.nodes[c.index()].leaves += 1;
+                cur = self.nodes[c.index()].parent;
+            }
+        }
         Ok(id)
     }
 
@@ -361,6 +375,17 @@ impl ContainerTree {
             .collect()
     }
 
+    /// Number of leaves in the subtree rooted at `id` (1 for a leaf):
+    /// `leaves_under(id).len()` in `O(1)`, kept up to date by
+    /// [`add`](ContainerTree::add).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not part of this tree.
+    pub fn leaf_count(&self, id: ContainerId) -> usize {
+        self.node(id).leaves as usize
+    }
+
     /// All ids of a given kind, in id order.
     pub fn of_kind(&self, kind: ContainerKind) -> Vec<ContainerId> {
         self.nodes
@@ -414,6 +439,27 @@ mod tests {
         assert_eq!(t.node(host).parent(), Some(cluster));
         assert!(t.node(host).is_leaf());
         assert!(!t.node(site).is_leaf());
+    }
+
+    /// Leaf counts stay equal to a subtree walk while the tree grows in
+    /// any order, including children added under an existing leaf (what
+    /// a live append does).
+    #[test]
+    fn leaf_count_tracks_the_subtree_walk_as_the_tree_grows() {
+        let mut t = ContainerTree::new();
+        let check = |t: &ContainerTree| {
+            for c in t.iter() {
+                assert_eq!(t.leaf_count(c.id()), t.leaves_under(c.id()).len(), "{}", c.id());
+            }
+        };
+        check(&t);
+        let mut ids = vec![t.root()];
+        for i in 0..60usize {
+            // A spread of parents: old leaves, inner nodes, the root.
+            let parent = ids[(i * 7 + i / 3) % ids.len()];
+            ids.push(t.add(parent, format!("c{i}"), ContainerKind::Host).unwrap());
+            check(&t);
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ proptest! {
 
 #[test]
 fn every_golden_replays_through_serve() {
-    for name in ["server_session", "server_lod", "server_stats", "server_stream"] {
+    for name in ["server_session", "server_lod", "server_levels", "server_stats", "server_stream"] {
         let script = data(&format!("{name}.script"));
         let golden = data(&format!("{name}.golden"));
         for capacity in [7, 8 << 10] {

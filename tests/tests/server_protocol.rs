@@ -448,6 +448,23 @@ fn golden_transcript_replays_byte_identically() {
     }
 }
 
+/// Level jumps over a trace of three sites that communicate across
+/// clusters and sites, so every merge and split rewires edges: each
+/// `collapse_at_depth` (1, 2, 3, 0), `expand_all`, single
+/// `collapse`/`expand` and a short `relax` is followed by a camera-less
+/// and a camera render, and the transcript is exactly the checked-in
+/// golden (regenerate it with `viva-server --stdio` only if the layout
+/// or the renderer legitimately changes).
+#[test]
+fn level_jump_transcript_replays_byte_identically() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/data");
+    let script =
+        std::fs::read_to_string(format!("{dir}/server_levels.script")).expect("checked-in script");
+    let golden = std::fs::read_to_string(format!("{dir}/server_levels.golden"))
+        .expect("checked-in golden transcript");
+    assert_eq!(replay(&script), golden, "replay must match the checked-in golden transcript");
+}
+
 // ---------------------------------------------------------------------
 // Decode errors
 // ---------------------------------------------------------------------
