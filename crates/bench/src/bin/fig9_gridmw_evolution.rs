@@ -67,13 +67,11 @@ fn report(label: &str, trace: &Trace, makespan: f64) {
         }
         let first_active = series.iter().position(|&v| v > total * 0.01).unwrap_or(4);
         started_at.push((name.clone(), first_active));
-        rows.push(vec![
-            name.clone(),
-            format!("{:.0}", series[0]),
-            format!("{:.0}", series[1]),
-            format!("{:.0}", series[2]),
-            format!("{:.0}", series[3]),
-        ]);
+        // Work delivered is never negative: an idle quarter can read a
+        // few ulps below zero off the index's running integral.
+        let mut row = vec![name.clone()];
+        row.extend(series.iter().map(|v| format!("{:.0}", v.max(0.0))));
+        rows.push(row);
     }
     print_table(&["site", "t0-t1", "t1-t2", "t2-t3", "t3-t4"], &rows);
     let early = started_at.iter().filter(|(_, f)| *f == 0).count();

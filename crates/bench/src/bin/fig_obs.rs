@@ -11,16 +11,22 @@
 //! command throughputs are compared.
 //!
 //! The loop has **no think time**: think gaps would hide the
-//! instrumentation cost we are here to measure. Each configuration
-//! runs three times and keeps its best throughput (the conventional
-//! guard against scheduler noise in a gate that compares two runs).
+//! instrumentation cost we are here to measure.
 //!
 //! Three configurations run: metrics off, metrics on, and metrics plus
-//! **1-in-16 sampled span tracing** (the `--self-trace` shape). Full
-//! mode asserts the metrics-on server keeps at least **95%** of the
-//! no-op throughput and the tracing server keeps at least **95%** of
-//! the spans-off (metrics-on) throughput — the < 5% regression gates
-//! from the design — and writes `BENCH_obs.json`; `--small` keeps the
+//! **1-in-16 sampled span tracing** (the `--self-trace` shape). A
+//! *triple* opens one server per configuration and interleaves them
+//! round by round, rotating which goes first, until every server has
+//! spent at least a second (full mode) inside timed rounds; each
+//! server's throughput is its timed commands over that time. Noise from
+//! neighbouring processes then lands on all three alike, where replays
+//! run one after another saw it land on whichever ran during a burst.
+//! Each of 11 triples yields two ratios (metrics on / off, traced /
+//! metrics on), and the gates read their **medians**.
+//! Full mode asserts the metrics-on server keeps at least **95%** of
+//! the no-op throughput and the tracing server keeps at least **95%**
+//! of the spans-off (metrics-on) throughput — the < 5% regression
+//! gates from the design — and writes `BENCH_obs.json`; `--small` keeps the
 //! correctness checks — including that the instrumented run really did
 //! count its commands and the traced run really did record span trees
 //! — but skips timing claims.
@@ -28,7 +34,7 @@
 use std::time::Instant;
 
 use viva::Theme;
-use viva_bench::grid_trace_csv;
+use viva_bench::{grid_trace_csv, percentile};
 use viva_obs::{Recorder, Tracer};
 use viva_server::protocol::{Command, Response};
 use viva_server::{Server, ServerLimits};
@@ -39,61 +45,18 @@ struct Scale {
     clusters: usize,
     hosts: usize,
     steps: usize,
+    /// Timed rounds per server, at least.
     rounds: usize,
-    repeats: usize,
+    /// Seconds each server spends in timed rounds, at least.
+    min_secs: f64,
+    /// Timed (Off, Metrics, Traced) triples.
+    triples: usize,
 }
 
-const FULL: Scale = Scale { clusters: 4, hosts: 12, steps: 80, rounds: 60, repeats: 6 };
-const SMALL: Scale = Scale { clusters: 2, hosts: 3, steps: 10, rounds: 4, repeats: 1 };
-
-/// Drives the closed loop against one server. Returns commands issued.
-fn drive(server: &Server, csv: &str, scale: &Scale) -> u64 {
-    let mut commands = 0u64;
-    let mut send = |cmd: &Command| -> String {
-        let line = cmd.encode();
-        let resp = server.handle_line(&line).expect("non-blank command line");
-        assert!(resp.starts_with("{\"ok\""), "command failed: {line} -> {resp}");
-        commands += 1;
-        resp
-    };
-    let session = "bench".to_owned();
-    send(&Command::LoadTrace {
-        session: session.clone(),
-        mode: RecoveryMode::Strict,
-        text: csv.to_owned(),
-        trace: None,
-    });
-    send(&Command::Relax { session: session.clone(), steps: 50 });
-    let render = Command::Render {
-        session: session.clone(),
-        width: 800.0,
-        height: 600.0,
-        theme: Theme::Light,
-        labels: false,
-        zoom: None,
-        pan_x: None,
-        pan_y: None,
-    };
-    for round in 0..scale.rounds {
-        let start = (round % scale.steps) as f64;
-        send(&Command::SetTimeSlice {
-            session: session.clone(),
-            start,
-            end: start + (scale.steps / 4).max(1) as f64,
-        });
-        let first = send(&render);
-        assert!(first.contains("\"cached\":false"), "expected a fresh render");
-        let repeat = send(&render);
-        assert!(repeat.contains("\"cached\":true"), "expected a cache hit");
-        send(&Command::Aggregate {
-            session: session.clone(),
-            metric: "power_used".into(),
-            group: "cl0".into(),
-        });
-        send(&Command::Relax { session: session.clone(), steps: 5 });
-    }
-    commands
-}
+const FULL: Scale =
+    Scale { clusters: 4, hosts: 12, steps: 80, rounds: 60, min_secs: 1.0, triples: 11 };
+const SMALL: Scale =
+    Scale { clusters: 2, hosts: 3, steps: 10, rounds: 4, min_secs: 0.0, triples: 1 };
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -105,43 +68,129 @@ enum Mode {
     Traced,
 }
 
-/// One timed replay of the workload on a fresh server in `mode`,
-/// returning commands/sec. Verification (counters, span trees) runs
-/// outside the timed window.
-fn measure_once(mode: Mode, csv: &str, scale: &Scale) -> f64 {
-    let server = match mode {
-        Mode::Off => Server::new(ServerLimits::default()),
-        Mode::Metrics => Server::with_metrics(ServerLimits::default()),
-        Mode::Traced => Server::with_observability(
-            ServerLimits::default(),
-            Recorder::enabled().with_tracer(Tracer::enabled(1, 42, 16)),
-        ),
-    };
-    let t0 = Instant::now();
-    let commands = drive(&server, csv, scale);
-    let wall = t0.elapsed().as_secs_f64();
-    if mode != Mode::Off {
-        check_counts(&server, commands);
-    }
-    if mode == Mode::Traced {
-        check_spans(&server);
-    }
-    commands as f64 / wall.max(1e-9)
+/// One configuration's server in a triple, with its tallies.
+struct Replay {
+    mode: Mode,
+    server: Server,
+    /// Every command sent, set-up included (what the counters saw).
+    sent: u64,
+    /// Commands sent inside timed rounds, and the time they took.
+    timed: u64,
+    secs: f64,
 }
 
-/// Best-of-`repeats` for all three modes, repeats interleaved
-/// round-robin (Off, Metrics, Traced, Off, …) after one untimed
-/// warmup — sequential per-mode blocks would let thermal and
-/// scheduler drift masquerade as instrumentation overhead.
-fn measure_all(csv: &str, scale: &Scale) -> (f64, f64, f64) {
-    let _ = measure_once(Mode::Off, csv, scale);
-    let mut best = [0.0f64; 3];
-    for _ in 0..scale.repeats {
-        for (i, mode) in [Mode::Off, Mode::Metrics, Mode::Traced].into_iter().enumerate() {
-            best[i] = best[i].max(measure_once(mode, csv, scale));
+impl Replay {
+    /// A fresh server in `mode` with the trace loaded and settled
+    /// (untimed set-up).
+    fn open(mode: Mode, csv: &str) -> Replay {
+        let server = match mode {
+            Mode::Off => Server::new(ServerLimits::default()),
+            Mode::Metrics => Server::with_metrics(ServerLimits::default()),
+            Mode::Traced => Server::with_observability(
+                ServerLimits::default(),
+                Recorder::enabled().with_tracer(Tracer::enabled(1, 42, 16)),
+            ),
+        };
+        let mut r = Replay { mode, server, sent: 0, timed: 0, secs: 0.0 };
+        r.send(&Command::LoadTrace {
+            session: "bench".into(),
+            mode: RecoveryMode::Strict,
+            text: csv.to_owned(),
+            trace: None,
+        });
+        r.send(&Command::Relax { session: "bench".into(), steps: 50 });
+        r
+    }
+
+    fn send(&mut self, cmd: &Command) -> String {
+        let line = cmd.encode();
+        let resp = self.server.handle_line(&line).expect("non-blank command line");
+        assert!(resp.starts_with("{\"ok\""), "command failed: {line} -> {resp}");
+        self.sent += 1;
+        resp
+    }
+
+    /// One timed round of the closed loop: slice, fresh render, repeat
+    /// render, aggregate, relax.
+    fn round(&mut self, round: usize, scale: &Scale) {
+        let session = "bench".to_owned();
+        let start = (round % scale.steps) as f64;
+        let render = Command::Render {
+            session: session.clone(),
+            width: 800.0,
+            height: 600.0,
+            theme: Theme::Light,
+            labels: false,
+            zoom: None,
+            pan_x: None,
+            pan_y: None,
+        };
+        let slice = Command::SetTimeSlice {
+            session: session.clone(),
+            start,
+            end: start + (scale.steps / 4).max(1) as f64,
+        };
+        let aggregate = Command::Aggregate {
+            session: session.clone(),
+            metric: "power_used".into(),
+            group: "cl0".into(),
+        };
+        let relax = Command::Relax { session, steps: 5 };
+        let (sent, t0) = (self.sent, Instant::now());
+        self.send(&slice);
+        let first = self.send(&render);
+        let repeat = self.send(&render);
+        self.send(&aggregate);
+        self.send(&relax);
+        self.secs += t0.elapsed().as_secs_f64();
+        self.timed += self.sent - sent;
+        assert!(first.contains("\"cached\":false"), "expected a fresh render");
+        assert!(repeat.contains("\"cached\":true"), "expected a cache hit");
+    }
+}
+
+/// One triple: the three configurations interleaved round by round
+/// (rotating the order by `k` and the round) until each has run at
+/// least `scale.rounds` rounds and `scale.min_secs` timed seconds.
+/// Returns commands/sec per mode; verification (counters, span trees)
+/// runs outside the timed rounds.
+fn measure_triple(csv: &str, scale: &Scale, k: usize) -> [f64; 3] {
+    let mut replays = [Mode::Off, Mode::Metrics, Mode::Traced].map(|m| Replay::open(m, csv));
+    let mut round = 0;
+    while round < scale.rounds || replays.iter().any(|r| r.secs < scale.min_secs) {
+        for i in (0..3).map(|j| (j + k + round) % 3) {
+            replays[i].round(round, scale);
+        }
+        round += 1;
+    }
+    replays.map(|r| {
+        if r.mode != Mode::Off {
+            check_counts(&r.server, r.sent);
+        }
+        if r.mode == Mode::Traced {
+            check_spans(&r.server);
+        }
+        r.timed as f64 / r.secs.max(1e-9)
+    })
+}
+
+/// Runs `scale.triples` triples after one untimed warmup triple and
+/// returns each mode's throughputs in triple order.
+fn measure_all(csv: &str, scale: &Scale) -> [Vec<f64>; 3] {
+    let _ = measure_triple(csv, scale, 0);
+    let mut rates: [Vec<f64>; 3] = Default::default();
+    for k in 0..scale.triples {
+        for (r, t) in rates.iter_mut().zip(measure_triple(csv, scale, k)) {
+            r.push(t);
         }
     }
-    (best[0], best[1], best[2])
+    rates
+}
+
+/// The median of `values`.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    percentile(&values, 50.0)
 }
 
 /// The traced run must have actually recorded span trees — with 1-in-16
@@ -192,21 +241,36 @@ fn main() {
     let scale = if small { SMALL } else { FULL };
     let csv = grid_trace_csv(scale.clusters, scale.hosts, scale.steps);
     println!(
-        "Obs overhead: {} hosts, {} rounds, best of {} ({} mode)",
+        "Obs overhead: {} hosts, >= {} rounds and >= {} s timed per server, \
+         median of {} triples ({} mode)",
         scale.clusters * scale.hosts,
         scale.rounds,
-        scale.repeats,
+        scale.min_secs,
+        scale.triples,
         if small { "smoke" } else { "full" }
     );
 
-    let (noop, instrumented, traced) = measure_all(&csv, &scale);
-    let ratio = instrumented / noop.max(1e-9);
-    let traced_ratio = traced / instrumented.max(1e-9);
+    let [off, on, tr] = measure_all(&csv, &scale);
+    let pairs = |num: &[f64], den: &[f64]| -> Vec<f64> {
+        num.iter().zip(den).map(|(n, d)| n / d.max(1e-9)).collect()
+    };
+    let (ratios, traced_ratios) = (pairs(&on, &off), pairs(&tr, &on));
+    let spread = |r: &[f64]| {
+        let (lo, hi) = r.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        format!("{:.1}-{:.1}%", lo * 100.0, hi * 100.0)
+    };
+    let (ratio, traced_ratio) = (median(ratios.clone()), median(traced_ratios.clone()));
+    let (noop, instrumented, traced) = (median(off), median(on), median(tr));
     println!("  metrics off:     {noop:>8.0} cmd/s");
-    println!("  metrics on:      {instrumented:>8.0} cmd/s  ({:.1}% of no-op)", ratio * 100.0);
     println!(
-        "  + tracing 1/16:  {traced:>8.0} cmd/s  ({:.1}% of spans-off)",
-        traced_ratio * 100.0
+        "  metrics on:      {instrumented:>8.0} cmd/s  ({:.1}% of no-op, triples {})",
+        ratio * 100.0,
+        spread(&ratios)
+    );
+    println!(
+        "  + tracing 1/16:  {traced:>8.0} cmd/s  ({:.1}% of spans-off, triples {})",
+        traced_ratio * 100.0,
+        spread(&traced_ratios)
     );
 
     if small {
@@ -227,11 +291,13 @@ fn main() {
 
     let mut json = String::from("{\n  \"benchmark\": \"obs\",\n");
     json.push_str(&format!(
-        "  \"trace\": {{ \"hosts\": {}, \"rounds\": {}, \"repeats\": {} }},\n",
+        "  \"trace\": {{ \"hosts\": {}, \"min_rounds\": {}, \"min_timed_secs\": {}, \"triples\": {} }},\n",
         scale.clusters * scale.hosts,
         scale.rounds,
-        scale.repeats
+        scale.min_secs,
+        scale.triples
     ));
+    json.push_str("  \"statistic\": \"median over triples\",\n");
     json.push_str(&format!(
         "  \"noop_commands_per_sec\": {noop:.0},\n  \"instrumented_commands_per_sec\": {instrumented:.0},\n  \"traced_commands_per_sec\": {traced:.0},\n  \"throughput_ratio\": {ratio:.4},\n  \"traced_ratio\": {traced_ratio:.4},\n  \"gate\": \"ratio >= 0.95 && traced_ratio >= 0.95\"\n}}\n"
     ));

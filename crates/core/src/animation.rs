@@ -6,7 +6,7 @@
 //! keeping the layout warm between frames (the graph barely moves, so
 //! the eye tracks values, not positions).
 
-use viva_agg::{integrate_group, TimeSlice};
+use viva_agg::{AggIndex, TimeSlice};
 use viva_trace::{ContainerId, Trace};
 
 use crate::session::AnalysisSession;
@@ -69,7 +69,8 @@ impl Animation {
 }
 
 /// The Fig. 9 series: for each group (row) and each slice (column), the
-/// Equation 1 integral of `metric`. Rows follow `groups` order.
+/// Equation 1 integral of `metric`, read from one [`AggIndex`] over the
+/// trace. Rows follow `groups` order.
 pub fn evolution_matrix(
     trace: &Trace,
     metric: &str,
@@ -79,14 +80,10 @@ pub fn evolution_matrix(
     let Some(m) = trace.metric_id(metric) else {
         return vec![vec![0.0; slices.len()]; groups.len()];
     };
+    let index = AggIndex::build(trace);
     groups
         .iter()
-        .map(|&g| {
-            slices
-                .iter()
-                .map(|&s| integrate_group(trace, m, g, s))
-                .collect()
-        })
+        .map(|&g| slices.iter().map(|&s| index.integrate(m, g, s)).collect())
         .collect()
 }
 
@@ -161,5 +158,38 @@ mod tests {
         // Unknown metric → zero matrix.
         let z = evolution_matrix(t, "nope", &hosts, &slices);
         assert!(z.iter().all(|row| row.iter().all(|&v| v == 0.0)));
+    }
+
+    /// The index answers every cell as the per-group rescan does.
+    #[test]
+    fn evolution_matrix_matches_the_rescan() {
+        let mut b = TraceBuilder::new();
+        let used = b.metric("power_used", "MFlop/s");
+        let mut groups = vec![b.root()];
+        for c in 0..3 {
+            let cl = b.new_container(b.root(), format!("c{c}"), ContainerKind::Cluster).unwrap();
+            groups.push(cl);
+            for h in 0..4 {
+                let name = format!("c{c}-h{h}");
+                let host = b.new_container(cl, name, ContainerKind::Host).unwrap();
+                groups.push(host);
+                for k in 0..6 {
+                    let t = (3 * c + h + 5 * k) as f64 * 0.7;
+                    let v = ((7 * c + 3 * h + 11 * k) % 13) as f64 * 12.5 + 0.1;
+                    b.set_variable(t, host, used, v).unwrap();
+                }
+            }
+        }
+        let trace = b.finish(30.0);
+        let m = trace.metric_id("power_used").unwrap();
+        let mut slices = TimeSlice::new(0.0, 30.0).split(7);
+        slices.push(TimeSlice::new(2.3, 17.9));
+        let matrix = evolution_matrix(&trace, "power_used", &groups, &slices);
+        for (row, &g) in matrix.iter().zip(&groups) {
+            for (&fast, &s) in row.iter().zip(&slices) {
+                let naive = viva_agg::integrate_group(&trace, m, g, s);
+                assert!((naive - fast).abs() <= 1e-9 * naive.abs().max(1.0), "{naive} vs {fast}");
+            }
+        }
     }
 }

@@ -525,9 +525,10 @@ impl AnalysisSession {
     /// # Errors
     ///
     /// [`TraceError`] when the sample is rejected (non-monotonic time,
-    /// non-finite input) — callers that pre-validate with
-    /// [`viva_trace::live::classify`] never see this, and the session
-    /// is unchanged when it happens.
+    /// non-finite input); the session is unchanged when it happens. A
+    /// sample [`viva_trace::live::classify`] passed can still fail the
+    /// time order — the one check classification leaves to the push,
+    /// as the loader does — and the caller books it as a drop.
     pub fn live_apply_sample(
         &mut self,
         container: ContainerId,
@@ -945,14 +946,6 @@ impl AnalysisSession {
     pub fn thaw_layout(&mut self) {
         self.layout.thaw();
         self.touch();
-    }
-
-    /// Sets the opt-in wall-clock budget for a single layout step.
-    /// `None` (the default) disables the wall-clock watchdog and keeps
-    /// layouts byte-deterministic across machines; interactive
-    /// front-ends with a frame deadline opt in.
-    pub fn set_layout_step_budget(&mut self, budget: Option<std::time::Duration>) {
-        self.layout.set_step_budget(budget);
     }
 
     /// Validates that `c` is drawn in the current view: known to the

@@ -2,7 +2,6 @@
 //! integration, pinning, and smooth aggregation morphs.
 
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -29,9 +28,6 @@ pub enum FreezeReason {
     /// `max_displacement` cap for many consecutive steps — the
     /// simulation is diverging, not converging.
     RunawayDisplacement,
-    /// The opt-in wall-clock watchdog: a single step overran the
-    /// budget set via [`LayoutEngine::set_step_budget`].
-    StepBudgetExceeded,
 }
 
 impl FreezeReason {
@@ -42,7 +38,6 @@ impl FreezeReason {
         match self {
             FreezeReason::NonFiniteForce => "non_finite_force",
             FreezeReason::RunawayDisplacement => "runaway_displacement",
-            FreezeReason::StepBudgetExceeded => "step_budget_exceeded",
         }
     }
 }
@@ -52,7 +47,6 @@ impl std::fmt::Display for FreezeReason {
         f.write_str(match self {
             FreezeReason::NonFiniteForce => "non-finite force",
             FreezeReason::RunawayDisplacement => "runaway displacement",
-            FreezeReason::StepBudgetExceeded => "step wall-clock budget exceeded",
         })
     }
 }
@@ -107,10 +101,6 @@ pub struct LayoutEngine {
     steps: u64,
     /// Watchdog state: `Some` while frozen.
     frozen: Option<FreezeReason>,
-    /// Opt-in wall-clock budget per step (`None` = unlimited, the
-    /// default — wall-clock decisions are machine-dependent and would
-    /// break byte-determinism across hosts if always on).
-    step_budget: Option<Duration>,
     /// Consecutive steps whose max displacement rode the cap.
     at_cap_streak: u32,
     /// Cached metric handles; `None` until an active recorder is wired
@@ -203,7 +193,6 @@ impl LayoutEngine {
             rng: SmallRng::seed_from_u64(seed),
             steps: 0,
             frozen: None,
-            step_budget: None,
             at_cap_streak: 0,
             obs: None,
         }
@@ -253,23 +242,6 @@ impl LayoutEngine {
         for n in &mut self.nodes {
             n.vel = Vec2::default();
         }
-    }
-
-    /// Sets the opt-in wall-clock budget for a single step. When a
-    /// step overruns it, the engine freezes with
-    /// [`FreezeReason::StepBudgetExceeded`] (the completed step's
-    /// positions are kept — the freeze stops *further* work).
-    ///
-    /// Default `None`: no wall-clock watchdog. Leaving it off keeps
-    /// layouts byte-deterministic across machines and thread counts;
-    /// interactive front-ends with a frame deadline opt in.
-    pub fn set_step_budget(&mut self, budget: Option<Duration>) {
-        self.step_budget = budget;
-    }
-
-    /// The current per-step wall-clock budget.
-    pub fn step_budget(&self) -> Option<Duration> {
-        self.step_budget
     }
 
     fn freeze(&mut self, reason: FreezeReason) {
@@ -650,7 +622,6 @@ impl LayoutEngine {
             return 0.0;
         }
         let _phase = self.obs.as_ref().map(|o| o.recorder.phase("layout.step"));
-        let started = self.step_budget.map(|_| Instant::now());
         self.config = self.config.sanitized();
         let points: Vec<(Vec2, f64)> = self.nodes.iter().map(|n| (n.pos, n.charge)).collect();
         let tree = QuadTree::build(&points);
@@ -658,7 +629,6 @@ impl LayoutEngine {
         let visits = self.repulsion_pass(&tree, threads, &mut forces);
         self.spring_forces(&mut forces);
         let max_disp = self.apply_forces(&forces);
-        self.check_step_budget(started);
         self.record_step(max_disp, visits);
         max_disp
     }
@@ -671,7 +641,6 @@ impl LayoutEngine {
             return 0.0;
         }
         let _phase = self.obs.as_ref().map(|o| o.recorder.phase("layout.step"));
-        let started = self.step_budget.map(|_| Instant::now());
         self.config = self.config.sanitized();
         let cfg = self.config;
         let points: Vec<(Vec2, f64)> = self.nodes.iter().map(|n| (n.pos, n.charge)).collect();
@@ -682,7 +651,6 @@ impl LayoutEngine {
         }
         self.spring_forces(&mut forces);
         let max_disp = self.apply_forces(&forces);
-        self.check_step_budget(started);
         // The naive pass visits every pair by construction.
         let n = self.nodes.len() as u64;
         self.record_step(max_disp, n.saturating_mul(n.saturating_sub(1)));
@@ -700,18 +668,6 @@ impl LayoutEngine {
             obs.naive_pairs.add(n.saturating_mul(n.saturating_sub(1)));
             obs.kinetic.set(self.kinetic_energy());
             obs.max_disp.set(max_disp);
-        }
-    }
-
-    /// Wall-clock watchdog tail: freezes when the step that just
-    /// finished overran the opt-in budget. The completed step's
-    /// positions are kept — the freeze stops *further* work rather
-    /// than discarding a valid (if slow) frame.
-    fn check_step_budget(&mut self, started: Option<Instant>) {
-        if let (Some(t0), Some(budget)) = (started, self.step_budget) {
-            if t0.elapsed() >= budget {
-                self.freeze(FreezeReason::StepBudgetExceeded);
-            }
         }
     }
 
@@ -1179,20 +1135,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_step_budget_freezes_after_one_step() {
+    fn freeze_keeps_the_last_frame_and_thaw_resumes() {
         let mut e = engine();
-        e.add_node(NodeKey(1), 1.0);
+        e.add_node(NodeKey(1), f64::NAN);
         e.add_node(NodeKey(2), 1.0);
-        assert_eq!(e.step_budget(), None);
-        e.set_step_budget(Some(std::time::Duration::ZERO));
         e.step();
-        assert_eq!(e.freeze_reason(), Some(FreezeReason::StepBudgetExceeded));
-        // The frame that overran was kept, not discarded.
+        assert_eq!(e.freeze_reason(), Some(FreezeReason::NonFiniteForce));
+        // The last healthy frame is kept.
         for (_, p) in e.positions() {
             assert!(p.x.is_finite() && p.y.is_finite());
         }
+        e.set_charge(NodeKey(1), 1.0);
         e.thaw();
-        e.set_step_budget(None);
         e.step();
         assert!(!e.is_frozen());
     }

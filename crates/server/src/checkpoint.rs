@@ -277,7 +277,7 @@ impl SessionCheckpoint {
     pub fn restore_shared(
         &self,
         trace: Arc<Trace>,
-        index: Option<Arc<AggIndex>>,
+        index: Arc<AggIndex>,
         recorder: Recorder,
     ) -> Result<AnalysisSession, RestoreError> {
         if !(OLDEST_RESTORABLE_VERSION..=CHECKPOINT_VERSION).contains(&self.version) {
@@ -296,11 +296,8 @@ impl SessionCheckpoint {
                     .into(),
             ));
         }
-        let mut builder = AnalysisSession::builder(trace).recorder(recorder);
-        if let Some(index) = index {
-            builder = builder.shared_index(index);
-        }
-        let mut analysis = builder.build();
+        let mut analysis =
+            AnalysisSession::builder(trace).shared_index(index).recorder(recorder).build();
         self.replay_state(&mut analysis)?;
         Ok(analysis)
     }
@@ -579,7 +576,7 @@ mod tests {
         let ckpt = SessionCheckpoint::capture("a", &s);
 
         let relinked = ckpt
-            .restore_shared(s.shared_trace(), s.shared_index(), Recorder::disabled())
+            .restore_shared(s.shared_trace(), s.shared_index().unwrap(), Recorder::disabled())
             .unwrap();
         let vp = viva::Viewport::new(640.0, 480.0);
         assert_eq!(relinked.render(&vp), s.render(&vp));
@@ -596,7 +593,7 @@ mod tests {
         let mut ckpt = SessionCheckpoint::capture("a", &s);
         ckpt.ingest_dropped = 3;
         assert!(matches!(
-            ckpt.restore_shared(s.shared_trace(), None, Recorder::disabled()),
+            ckpt.restore_shared(s.shared_trace(), s.shared_index().unwrap(), Recorder::disabled()),
             Err(RestoreError::State(_))
         ));
     }

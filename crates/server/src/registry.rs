@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use viva::{AnalysisSession, GraphView};
 use viva_obs::Recorder;
-use viva_trace::{JournalWriter, ResourceBudget};
+use viva_trace::{live, JournalWriter, ResourceBudget};
 
 use crate::cache::FrameCache;
 use crate::protocol::CommandClass;
@@ -181,12 +181,12 @@ pub struct LiveStream {
     /// the next must be `last_seq + 1`; re-sends of older numbers are
     /// acked as duplicates without re-applying).
     pub last_seq: u64,
-    /// Every acked event text, concatenated. Structural records force
-    /// a rebuild from this text, and seal/checkpoint capture it.
-    pub text: String,
+    /// Every acked event text, joined by [`LiveStream::extend`].
+    /// Structural records force a rebuild from this text.
+    text: String,
     /// The trace extent the stream has declared, if any — the last
     /// valid `span` record wins, exactly as in a batch load.
-    pub span: Option<(f64, f64)>,
+    span: Option<(f64, f64)>,
     /// Sealed streams refuse further appends (the journal, if any, is
     /// sealed too, so recovery knows the stream ended on purpose).
     pub sealed: bool,
@@ -194,6 +194,35 @@ pub struct LiveStream {
     /// `None` until the first subscriber snapshot, so sessions nobody
     /// watches never pay for view extraction.
     pub last_view: Option<GraphView>,
+}
+
+impl LiveStream {
+    /// A stream at `last_seq` with no text yet.
+    pub fn new(journal: Option<JournalWriter>, last_seq: u64, sealed: bool) -> LiveStream {
+        LiveStream { journal, last_seq, text: String::new(), span: None, sealed, last_view: None }
+    }
+
+    /// Adds one acked text, joined to the previous one by a newline
+    /// unless that ends in one, and folds its `span` records.
+    pub fn extend(&mut self, text: &str) {
+        if !self.text.is_empty() && !self.text.ends_with('\n') {
+            self.text.push('\n');
+        }
+        self.text.push_str(text);
+        if let Some(span) = text.lines().filter_map(live::declared_span).next_back() {
+            self.span = Some(span);
+        }
+    }
+
+    /// Every acked text, joined: its lenient load is the content.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The span the stream has declared so far.
+    pub fn span(&self) -> Option<(f64, f64)> {
+        self.span
+    }
 }
 
 /// One named session: the analysis state behind the per-session lock.

@@ -47,8 +47,8 @@ use viva_agg::AggIndex;
 use viva_layout::Vec2;
 use viva_obs::{Recorder, SpanGuard, SpanId, Tracer};
 use viva_trace::{
-    live, write_atomic, ContainerId, JournalConfig, JournalWriter, LiveLine, RecoveryMode,
-    ResourceBudget, Trace, TraceError, TraceLoader,
+    live, write_atomic, ContainerId, JournalConfig, JournalRecord, JournalWriter, LiveLine,
+    RecoveredJournal, RecoveryMode, ResourceBudget, Trace, TraceError, TraceLoader,
 };
 
 use crate::checkpoint::{checkpoint_file_name, SessionCheckpoint};
@@ -927,12 +927,7 @@ impl Server {
         let hash = content_hash(viva_trace::export::to_csv(&trace).as_bytes());
         self.store.insert(
             &store_name,
-            StoredTrace {
-                trace,
-                index: Some(index),
-                hash,
-                events: report.events as u64,
-            },
+            StoredTrace { trace, index, hash, events: report.events as u64 },
         );
         Response::Loaded {
             session,
@@ -953,12 +948,10 @@ impl Server {
         let Some(stored) = self.store.get(trace_name) else {
             return err(ErrorKind::NoTrace, format!("trace {trace_name:?} is not loaded"));
         };
-        let mut builder = AnalysisSession::builder(Arc::clone(&stored.trace))
-            .recorder(self.session_recorder());
-        if let Some(index) = &stored.index {
-            builder = builder.shared_index(Arc::clone(index));
-        }
-        let analysis = builder.build();
+        let analysis = AnalysisSession::builder(Arc::clone(&stored.trace))
+            .shared_index(Arc::clone(&stored.index))
+            .recorder(self.session_recorder())
+            .build();
         if deadline.expired() {
             return self.deadline_exceeded("attach", "no session was created");
         }
@@ -1042,7 +1035,7 @@ impl Server {
         let relinked = shared.and_then(|stored| {
             ckpt.restore_shared(
                 Arc::clone(&stored.trace),
-                stored.index.clone(),
+                Arc::clone(&stored.index),
                 session_recorder.clone(),
             )
             .ok()
@@ -1060,21 +1053,29 @@ impl Server {
         if deadline.expired() {
             return self.deadline_exceeded("restore", "no session was created");
         }
-        let mut server_session = ServerSession { analysis, live: None };
         // A v3 checkpoint of a live session names its journal: re-link
         // and replay the suffix so streaming picks up where it left
         // off. If the journal is gone or mismatched the session still
         // restores — as a plain batch session — and says why.
-        if let Some((journal_id, ckpt_seq)) = &ckpt.journal {
-            if let Err(detail) = self.relink_journal(&session, journal_id, *ckpt_seq, &mut server_session)
-            {
-                self.note("server.journal_relink_misses");
-                if self.recorder.is_enabled() {
-                    self.recorder.event("server.journal_relink_miss", &format!("{session}: {detail}"));
+        let server_session = match &ckpt.journal {
+            Some((id, seq)) => match self.relink_journal(&session, id, *seq) {
+                Ok((writer, recovered)) => {
+                    let (sealed, records) = (recovered.sealed, &recovered.records);
+                    let s = self.replay_live(Some(analysis), Some(writer), *seq, sealed, records);
+                    self.note("server.journal_relinks");
+                    s
                 }
-                server_session.live = None;
-            }
-        }
+                Err(detail) => {
+                    self.note("server.journal_relink_misses");
+                    if self.recorder.is_enabled() {
+                        self.recorder
+                            .event("server.journal_relink_miss", &format!("{session}: {detail}"));
+                    }
+                    ServerSession { analysis, live: None }
+                }
+            },
+            None => ServerSession { analysis, live: None },
+        };
         let revision = server_session.analysis.revision();
         let evicted = self.registry.create_session(&session, server_session);
         self.checkpoint_evicted(evicted);
@@ -1187,8 +1188,6 @@ impl Server {
     /// `append` seq 1 for an unknown session: creates the live
     /// session — and its journal — from the first event text.
     fn append_first(&self, name: String, text: &str) -> Response {
-        let session_recorder = self.session_recorder();
-        let analysis = self.build_live_analysis(text, &session_recorder);
         let mut journal = match self.create_journal(&name) {
             Ok(j) => j,
             Err(resp) => return resp,
@@ -1200,17 +1199,10 @@ impl Server {
                 return err(ErrorKind::JournalIo, format!("journal append failed: {e}"));
             }
         }
-        let live = LiveStream {
-            journal,
-            last_seq: 1,
-            text: text.to_owned(),
-            span: live::span_after(text),
-            sealed: false,
-            last_view: None,
-        };
-        let revision = analysis.revision();
-        let evicted =
-            self.registry.create_session(&name, ServerSession { analysis, live: Some(live) });
+        let first = [JournalRecord { seq: 1, text: text.to_owned() }];
+        let s = self.replay_live(None, journal, 1, false, &first);
+        let revision = s.analysis.revision();
+        let evicted = self.registry.create_session(&name, s);
         self.checkpoint_evicted(evicted);
         self.update_occupancy();
         self.note("server.appends");
@@ -1265,8 +1257,7 @@ impl Server {
                 }
             }
         }
-        self.apply_live_text(s, text);
-        s.live.as_mut().expect("checked live above").last_seq = seq;
+        self.apply_live_text(s, seq, text);
         self.note("server.appends");
         let revision = s.analysis.revision();
         self.publish_delta(name, s, seq);
@@ -1275,9 +1266,10 @@ impl Server {
 
     /// Loads live-stream text into a trace and its index. Live content
     /// is *defined* as the lenient, unbudgeted load of the acked texts
-    /// in sequence order — the first append, the rebuild path and crash
+    /// in sequence order — a new stream, the rebuild path and crash
     /// recovery agree with the incremental path because all three are
-    /// this function (or the classifier that mirrors it line-exactly).
+    /// this function (or the classifier, which runs the loader's own
+    /// checks).
     fn load_live(text: &str, recorder: &Recorder) -> (Arc<Trace>, Arc<AggIndex>) {
         let loader = TraceLoader::new()
             .mode(RecoveryMode::Lenient)
@@ -1291,11 +1283,35 @@ impl Server {
         (trace, index)
     }
 
-    /// Loads live-stream text into a fresh analysis session (see
-    /// [`Server::load_live`]).
-    fn build_live_analysis(&self, text: &str, recorder: &Recorder) -> AnalysisSession {
-        let (trace, index) = Self::load_live(text, recorder);
-        AnalysisSession::builder(trace).shared_index(index).recorder(recorder.clone()).build()
+    /// The one replay routine, behind `append` seq 1, crash recovery
+    /// and checkpoint relinks: builds the live stream over `journal`
+    /// and replays `records` into it. Records up to seq `applied` are
+    /// already in `analysis` and only extend the accumulated text; with
+    /// no analysis, a fresh session loads them. Later records are
+    /// applied exactly as appends are.
+    fn replay_live(
+        &self,
+        analysis: Option<AnalysisSession>,
+        journal: Option<JournalWriter>,
+        applied: u64,
+        sealed: bool,
+        records: &[JournalRecord],
+    ) -> ServerSession {
+        let mut live = LiveStream::new(journal, applied, sealed);
+        let split = records.partition_point(|r| r.seq <= applied);
+        for rec in &records[..split] {
+            live.extend(&rec.text);
+        }
+        let analysis = analysis.unwrap_or_else(|| {
+            let recorder = self.session_recorder();
+            let (trace, index) = Self::load_live(live.text(), &recorder);
+            AnalysisSession::builder(trace).shared_index(index).recorder(recorder).build()
+        });
+        let mut s = ServerSession { analysis, live: Some(live) };
+        for rec in &records[split..] {
+            self.apply_live_text(&mut s, rec.seq, &rec.text);
+        }
+        s
     }
 
     /// Opens the journal for a new live session, or `None` when the
@@ -1323,30 +1339,26 @@ impl Server {
         }
     }
 
-    /// Applies one event text to a live session: each line is
+    /// Applies event text `seq` to a live session: each line is
     /// classified against the current trace and applied incrementally;
     /// the first structural record (new container, metric, span, ...)
     /// escalates to a rebuild from the accumulated text, which is the
     /// authoritative definition of live content. Extends the
-    /// accumulated text first so the rebuild sees the whole stream.
-    fn apply_live_text(&self, s: &mut ServerSession, text: &str) {
-        {
-            let live = s.live.as_mut().expect("live session");
-            if !live.text.is_empty() && !live.text.ends_with('\n') {
-                live.text.push('\n');
-            }
-            live.text.push_str(text);
-        }
-        let mut structural = false;
+    /// accumulated text first so the rebuild sees the whole stream;
+    /// the lines before a structural record are classified against the
+    /// span declared before this text, as a load reaches them.
+    fn apply_live_text(&self, s: &mut ServerSession, seq: u64, text: &str) {
+        let live = s.live.as_mut().expect("live session");
+        let span = live.span();
+        live.extend(text);
+        live.last_seq = seq;
         for raw in text.lines() {
-            let span = s.live.as_ref().expect("live session").span;
             match live::classify(s.analysis.trace(), span, raw) {
                 LiveLine::Skip => {}
                 LiveLine::Sample { container, metric, t, v } => {
+                    // Time order is the push's check, as it is the
+                    // loader's: a refused sample is a drop.
                     if s.analysis.live_apply_sample(container, metric, t, v).is_err() {
-                        // `classify` mirrors the loader's checks, so a
-                        // failure here is a record the lenient loader
-                        // would have dropped too.
                         s.analysis.live_note_dropped();
                     }
                 }
@@ -1355,26 +1367,17 @@ impl Server {
                 }
                 LiveLine::Drop => s.analysis.live_note_dropped(),
                 LiveLine::Structural => {
-                    structural = true;
-                    break;
+                    // The structural-record slow path. The analyst's
+                    // interaction state (collapse set, pins, sliders,
+                    // slice) survives via `AnalysisSession::rebase`.
+                    self.note("server.live_rebuilds");
+                    let live = s.live.as_ref().expect("live session");
+                    let (trace, index) = Self::load_live(live.text(), s.analysis.recorder());
+                    s.analysis.rebase(trace, index);
+                    return;
                 }
             }
         }
-        if structural {
-            self.rebuild_live(s);
-        }
-    }
-
-    /// Rebuilds a live session from its accumulated text — the
-    /// structural-record slow path. The analyst's interaction state
-    /// (collapse set, pins, sliders, slice) survives via
-    /// [`AnalysisSession::rebase`].
-    fn rebuild_live(&self, s: &mut ServerSession) {
-        self.note("server.live_rebuilds");
-        let live = s.live.as_mut().expect("live session");
-        let (trace, index) = Self::load_live(&live.text, s.analysis.recorder());
-        live.span = live::span_after(&live.text);
-        s.analysis.rebase(trace, index);
     }
 
     /// Publishes one applied append to the session's subscribers:
@@ -1492,33 +1495,15 @@ impl Server {
             if recovered.truncated_bytes > 0 {
                 self.note("journal.recovery_truncations");
             }
-            let writer = writer.with_recorder(self.recorder.clone());
-            let name = recovered.id.clone();
             let Some(first) = recovered.records.first() else {
                 // Header-only journal: a stream that never acked an
                 // event has no state to rebuild.
                 continue;
             };
-            let session_recorder = self.session_recorder();
-            let analysis = self.build_live_analysis(&first.text, &session_recorder);
-            let mut s = ServerSession {
-                analysis,
-                live: Some(LiveStream {
-                    journal: Some(writer),
-                    last_seq: first.seq,
-                    text: first.text.clone(),
-                    span: live::span_after(&first.text),
-                    sealed: false,
-                    last_view: None,
-                }),
-            };
-            for rec in &recovered.records[1..] {
-                self.apply_live_text(&mut s, &rec.text);
-                s.live.as_mut().expect("live").last_seq = rec.seq;
-            }
-            if recovered.sealed {
-                s.live.as_mut().expect("live").sealed = true;
-            }
+            let writer = writer.with_recorder(self.recorder.clone());
+            let (seq, sealed) = (first.seq, recovered.sealed);
+            let s = self.replay_live(None, Some(writer), seq, sealed, &recovered.records);
+            let name = recovered.id;
             let evicted = self.registry.create_session(&name, s);
             self.checkpoint_evicted(evicted);
             names.push(name);
@@ -1528,19 +1513,19 @@ impl Server {
         names
     }
 
-    /// Re-attaches a restored session to its journal: recover the
-    /// file, replay every record after the checkpoint's `last_seq`
-    /// through the ordinary live apply path, and install the live
-    /// stream. On any failure the caller restores a plain batch
-    /// session instead — the view state is intact, only streaming
-    /// continuity is lost.
+    /// Recovers the journal a restored session names, checked against
+    /// the checkpoint; the caller replays the records after the
+    /// checkpoint's `last_seq` (the checkpoint carries canonical CSV,
+    /// not the original event texts, so the accumulated text is
+    /// rebuilt from the journal). On any failure the caller restores a
+    /// plain batch session instead — the view state is intact, only
+    /// streaming continuity is lost.
     fn relink_journal(
         &self,
         session: &str,
         journal_id: &str,
         ckpt_seq: u64,
-        s: &mut ServerSession,
-    ) -> Result<(), String> {
+    ) -> Result<(JournalWriter, RecoveredJournal), String> {
         let Some(dir) = &self.registry.limits().journal_dir else {
             return Err("the server has no journal directory".into());
         };
@@ -1563,35 +1548,7 @@ impl Server {
                 recovered.last_seq()
             ));
         }
-        let writer = writer.with_recorder(self.recorder.clone());
-        s.live = Some(LiveStream {
-            journal: Some(writer),
-            last_seq: ckpt_seq,
-            text: String::new(),
-            span: None,
-            sealed: recovered.sealed,
-            last_view: None,
-        });
-        // The accumulated text is rebuilt from the journal (the
-        // checkpoint carries canonical CSV, not the original event
-        // texts): records the checkpoint already covers only extend
-        // the text; records after it are applied too.
-        {
-            let live = s.live.as_mut().expect("just installed");
-            for rec in recovered.records.iter().filter(|r| r.seq <= ckpt_seq) {
-                if !live.text.is_empty() && !live.text.ends_with('\n') {
-                    live.text.push('\n');
-                }
-                live.text.push_str(&rec.text);
-            }
-            live.span = live::span_after(&live.text);
-        }
-        for rec in recovered.records.iter().filter(|r| r.seq > ckpt_seq) {
-            self.apply_live_text(s, &rec.text);
-            s.live.as_mut().expect("live").last_seq = rec.seq;
-        }
-        self.note("server.journal_relinks");
-        Ok(())
+        Ok((writer.with_recorder(self.recorder.clone()), recovered))
     }
 
     /// Dispatches the commands that operate on an existing session.
@@ -3146,5 +3103,142 @@ mod tests {
         assert!(matches!(append(&s, "s", 2, LIVE_EV2), Response::Appended { .. }));
         assert!(s.take_pushes(conn).is_empty());
         assert!(s.conns().subs.is_empty());
+    }
+
+    /// Property: however a live stream is cut into `append`s, the
+    /// session equals the one-shot append of the joined text and the
+    /// session crash recovery rebuilds from the journal — the lenient
+    /// load of the acked texts is the one definition of live content.
+    mod live_grammar {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Two hosts, one metric and a declared span, so most random
+        /// samples land on something.
+        const HEADER: &str =
+            "span,0.0,10.0\ncontainer,1,0,host,h1\ncontainer,2,0,host,h2\nmetric,0,u,m0";
+
+        /// Times on a half-unit grid up to 12.5: ties, out-of-order
+        /// and out-of-span samples all occur.
+        fn time() -> impl Strategy<Value = f64> {
+            (0u32..26).prop_map(|h| f64::from(h) * 0.5)
+        }
+
+        fn sample() -> impl Strategy<Value = String> {
+            (time(), 1u32..5, 0u32..3, 0u32..200)
+                .prop_map(|(t, c, m, v)| format!("var,{t:?},{c},{m},{v}.5"))
+        }
+
+        fn line() -> impl Strategy<Value = String> {
+            let line = prop_oneof![
+                sample(),
+                sample(),
+                sample(),
+                (time(), 1u32..4, 0u32..2, 0usize..3).prop_map(|(t, c, m, i)| {
+                    format!("var,{t:?},{c},{m},{}", ["NaN", "inf", "-inf"][i])
+                }),
+                (0usize..8).prop_map(|i| {
+                    [
+                        "var,2.0,1,0",
+                        "var,x,1,0,1.0",
+                        "var,NaN,1,0,1.0",
+                        "var,1.0,1,0,abc",
+                        "var,1.0,-1,0,1.0",
+                        "var,1.0,1,0,1.0,extra",
+                        "var,1.0,99999999999,0,1.0",
+                        "frobnicate,1,2",
+                    ][i]
+                    .to_owned()
+                }),
+                (0usize..4).prop_map(|i| ["# comment", "", "   ", "no comma"][i].to_owned()),
+                (1u32..6, 0u32..3).prop_map(|(id, p)| format!("container,{id},{p},host,h{id}")),
+                (0u32..3, 0u32..3).prop_map(|(id, n)| format!("metric,{id},u,m{n}")),
+                (0u32..8, 0u32..30).prop_map(|(s, e)| format!("span,{s}.0,{e}.0")),
+                (0usize..2).prop_map(|i| ["span,bad,1.0", "span,0.0,inf"][i].to_owned()),
+                (1u32..4, time(), time())
+                    .prop_map(|(c, s, e)| format!("state,{c},{s:?},{e:?},0,busy")),
+                (time(), 1u32..4, 1u32..4)
+                    .prop_map(|(s, a, b)| format!("link,{s:?},{:?},{a},{b},8.0", s + 0.5)),
+            ];
+            // One line in six ends CRLF.
+            (line, 0u32..6).prop_map(|(l, crlf)| if crlf == 0 { format!("{l}\r") } else { l })
+        }
+
+        /// A stream cut into `append` texts: after each line, 0 ends the
+        /// text, 1 ends it with a trailing newline, anything else goes on.
+        fn chunks() -> impl Strategy<Value = Vec<String>> {
+            proptest::collection::vec((line(), 0u32..5), 1..40).prop_map(|lines| {
+                let mut chunks = vec![HEADER.to_owned()];
+                let mut cur: Option<String> = None;
+                for (l, cut) in lines {
+                    let c = cur.get_or_insert_with(String::new);
+                    if !c.is_empty() {
+                        c.push('\n');
+                    }
+                    c.push_str(&l);
+                    if cut < 2 {
+                        let mut done = cur.take().expect("just filled");
+                        if cut == 1 {
+                            done.push('\n');
+                        }
+                        chunks.push(done);
+                    }
+                }
+                chunks.extend(cur);
+                chunks
+            })
+        }
+
+        /// The accumulated text of a stream: texts joined by a newline
+        /// unless the previous one already ends with one.
+        fn joined(chunks: &[String]) -> String {
+            let mut all = String::new();
+            for c in chunks {
+                if !all.is_empty() && !all.ends_with('\n') {
+                    all.push('\n');
+                }
+                all.push_str(c);
+            }
+            all
+        }
+
+        type Data = (Vec<DeltaNode>, u64, u64);
+
+        fn data(s: &Server, name: &str) -> (Data, u64) {
+            let handle = s.registry().get(name).expect("session exists");
+            let guard = handle.lock();
+            let trace = guard.analysis.trace();
+            let (nodes, _) = diff_views(None, &guard.analysis.view());
+            ((nodes, trace.quarantined_total(), trace.ingest_dropped()), guard.analysis.revision())
+        }
+
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            #[test]
+            fn appends_one_shot_and_recovery_hold_the_same_data(chunks in chunks()) {
+                let dir = tmpdir(&format!("grammar{}", CASE.fetch_add(1, Ordering::Relaxed)));
+                let a = Server::new(stream_limits(&dir));
+                for (i, text) in chunks.iter().enumerate() {
+                    let r = append(&a, "inc", i as u64 + 1, text);
+                    prop_assert!(matches!(r, Response::Appended { duplicate: false, .. }), "{r:?}");
+                }
+                let r = append(&a, "one", 1, &joined(&chunks));
+                prop_assert!(matches!(r, Response::Appended { .. }), "{r:?}");
+                let (inc, inc_rev) = data(&a, "inc");
+                let (one, _) = data(&a, "one");
+                drop(a);
+                let b = Server::new(stream_limits(&dir));
+                prop_assert_eq!(b.recover_journals(), vec!["inc".to_string(), "one".to_string()]);
+                let (rec, rec_rev) = data(&b, "inc");
+                let _ = fs::remove_dir_all(&dir);
+                prop_assert_eq!(&inc, &one, "incremental vs one-shot, chunks {:?}", chunks);
+                prop_assert_eq!(&inc, &rec, "incremental vs recovered, chunks {:?}", chunks);
+                prop_assert_eq!(inc_rev, rec_rev, "recovery replays to the same revision");
+            }
+        }
     }
 }

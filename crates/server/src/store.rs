@@ -21,14 +21,14 @@ use viva_trace::Trace;
 
 use crate::protocol::wire_struct;
 
-/// One stored trace: the shared data, its (optional) shared index, and
+/// One stored trace: the shared data, its shared index, and
 /// the identity facts `list_traces` reports.
 #[derive(Debug, Clone)]
 pub struct StoredTrace {
     /// The shared trace. Sessions attach by cloning this handle.
     pub trace: Arc<Trace>,
     /// The shared aggregation index built at load time.
-    pub index: Option<Arc<AggIndex>>,
+    pub index: Arc<AggIndex>,
     /// Content hash of the canonical CSV form (FNV-1a 64).
     pub hash: u64,
     /// Event records in the trace (as counted at load).
@@ -157,7 +157,7 @@ mod tests {
         let csv = viva_trace::export::to_csv(&trace);
         let stored = StoredTrace {
             trace: Arc::clone(&trace),
-            index: Some(Arc::new(AggIndex::build(&trace))),
+            index: Arc::new(AggIndex::build(&trace)),
             hash: content_hash(csv.as_bytes()),
             events: 1,
         };

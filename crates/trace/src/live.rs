@@ -7,15 +7,16 @@
 //! byte-identical (replay the journal through the same loader) and
 //! what the incremental fast path below must reproduce bit for bit.
 //!
-//! [`classify`] mirrors the loader's per-record `var` validation
-//! exactly (same checks, same order): a line classified as
-//! [`LiveLine::Sample`] is guaranteed to be accepted by a from-scratch
-//! lenient reload, a [`LiveLine::Quarantine`] line is guaranteed to
-//! quarantine, and a [`LiveLine::Drop`] line is guaranteed to be
-//! skipped. Structural records (`span`/`container`/`metric`/`state`/
-//! `link`) are not replayed incrementally — the caller falls back to a
-//! full reload of the accumulated text, which by construction lands in
-//! the same state.
+//! There is one record grammar. [`classify`] runs the loader's own
+//! line, kind and `var` checks against the live trace, so it cannot
+//! drift from a reload: a [`LiveLine::Sample`] passes every check but
+//! time order, which [`Trace::live_push_sample`] enforces exactly as
+//! the loader's signal push does (a refused push is a drop); a
+//! [`LiveLine::Quarantine`] line quarantines and a [`LiveLine::Drop`]
+//! line is skipped. Structural records (`span`/`container`/`metric`/
+//! `state`/`link`) are not replayed incrementally — the caller reloads
+//! the accumulated text, which by construction lands in the same
+//! state, and folds the span with [`declared_span`].
 //!
 //! Live sessions use an **unlimited** resource budget (overload is the
 //! server's admission control's job, not the loader's), so the
@@ -23,7 +24,7 @@
 
 use crate::container::ContainerId;
 use crate::error::TraceError;
-use crate::loader::{fields, parse_f64, parse_finite, parse_id};
+use crate::loader::{parse_span, parse_var, record, RecordFault, RecordKind};
 use crate::metric::MetricId;
 use crate::trace::Trace;
 
@@ -33,8 +34,9 @@ use crate::trace::Trace;
 pub enum LiveLine {
     /// Blank or comment: ignored, not counted.
     Skip,
-    /// A valid `var` record the builder will accept — apply with
-    /// [`Trace::live_push_sample`].
+    /// A `var` record that passes the loader's checks — apply with
+    /// [`Trace::live_push_sample`], which refuses it (a drop) when its
+    /// time precedes the signal's last sample.
     Sample {
         /// Target container.
         container: ContainerId,
@@ -61,89 +63,33 @@ pub enum LiveLine {
     Structural,
 }
 
-/// Classifies one line exactly as the lenient loader would, given the
-/// live trace state and the currently-declared span (see
-/// [`span_after`]).
+/// Classifies one line with the loader's checks, given the live trace
+/// and the span declared so far (see [`declared_span`]).
 pub fn classify(trace: &Trace, span: Option<(f64, f64)>, raw: &str) -> LiveLine {
-    let line = raw.trim_end();
-    if line.is_empty() || line.starts_with('#') {
-        return LiveLine::Skip;
-    }
-    let Some((kind, rest)) = line.split_once(',') else {
-        return LiveLine::Drop; // "missing record kind"
+    let rest = match record(raw) {
+        None => return LiveLine::Skip,
+        Some(Ok((RecordKind::Var, rest))) => rest,
+        Some(Ok(_)) => return LiveLine::Structural,
+        Some(Err(_)) => return LiveLine::Drop,
     };
-    match kind {
-        "span" | "container" | "metric" | "state" | "link" => return LiveLine::Structural,
-        "var" => {}
-        _ => return LiveLine::Drop, // "unknown record kind"
-    }
-    // Mirror of the loader's `var` arm, check for check, in order.
-    let Ok([t_s, c_s, m_s, v_s]) = fields::<4>(rest) else {
-        return LiveLine::Drop;
-    };
-    let Ok(t) = parse_finite(t_s, "time") else {
-        return LiveLine::Drop;
-    };
-    let Ok(c_idx) = parse_id(c_s) else {
-        return LiveLine::Drop;
-    };
-    let container = ContainerId::from_index(c_idx);
-    if trace.containers().get(container).is_none() {
-        return LiveLine::Drop;
-    }
-    let Ok(m_idx) = parse_id(m_s) else {
-        return LiveLine::Drop;
-    };
-    if m_idx >= trace.metrics().len() {
-        return LiveLine::Drop;
-    }
-    let metric = MetricId::from_index(m_idx);
-    if let Some((s, e)) = span {
-        if t < s || t > e {
-            return LiveLine::Drop;
+    match parse_var(rest, trace.containers(), trace.metrics().len(), span) {
+        Ok((container, metric, t, v)) => LiveLine::Sample { container, metric, t, v },
+        Err(RecordFault::NonFinite { container, metric, .. }) => {
+            LiveLine::Quarantine { container, metric }
         }
+        Err(RecordFault::Bad(_)) => LiveLine::Drop,
     }
-    let Ok(v) = parse_f64(v_s) else {
-        return LiveLine::Drop;
-    };
-    if !v.is_finite() {
-        return LiveLine::Quarantine { container, metric };
-    }
-    // The builder's `set_variable` would reject a non-monotonic push.
-    if let Some(sig) = trace.signal(container, metric) {
-        if let Some(last) = sig.last_time() {
-            if t < last {
-                return LiveLine::Drop;
-            }
-        }
-    }
-    LiveLine::Sample { container, metric, t, v }
 }
 
-/// The span a lenient load of `text` ends with: the last *valid* `span`
-/// record (parses, finite, `end >= start`), if any. Span validity
-/// depends on nothing else in the stream, so this can be derived by a
-/// flat rescan after every structural reload.
-pub fn span_after(text: &str) -> Option<(f64, f64)> {
-    let mut span = None;
-    for raw in text.lines() {
-        let line = raw.trim_end();
-        let Some(rest) = line.strip_prefix("span,") else {
-            continue;
-        };
-        let Ok([s_s, e_s]) = fields::<2>(rest) else {
-            continue;
-        };
-        let (Ok(s), Ok(e)) = (parse_finite(s_s, "span start"), parse_finite(e_s, "span end"))
-        else {
-            continue;
-        };
-        if e < s {
-            continue;
-        }
-        span = Some((s, e));
+/// The span `raw` declares if it is a valid `span` record, parsed as
+/// the loader parses it. Span validity depends on nothing else in the
+/// stream, so folding this over the lines of a text — the last valid
+/// record wins — gives the span a load of that text ends with.
+pub fn declared_span(raw: &str) -> Option<(f64, f64)> {
+    match record(raw)? {
+        Ok((RecordKind::Span, rest)) => parse_span(rest).ok(),
+        _ => None,
     }
-    span
 }
 
 /// State of the leaf signal *before* a [`Trace::live_push_sample`] —
@@ -170,9 +116,11 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// [`TraceError::NonMonotonicTime`] / [`TraceError::NotFinite`]
-    /// when the sample would be rejected — callers that pre-validate
-    /// with [`classify`] never see these.
+    /// [`TraceError::NonMonotonicTime`] when `t` precedes the signal's
+    /// last sample, leaving the trace unchanged — the one check a
+    /// [`classify`]d sample can still fail, and a lenient load drops
+    /// such a record too; [`TraceError::NotFinite`] on a non-finite
+    /// input.
     pub fn live_push_sample(
         &mut self,
         container: ContainerId,
@@ -181,22 +129,18 @@ impl Trace {
         v: f64,
     ) -> Result<SamplePrior, TraceError> {
         let prior = match self.signals.get(container, metric) {
-            Some(sig) => {
-                let last = sig.last_time().unwrap_or(t);
-                if t < last {
-                    return Err(TraceError::NonMonotonicTime { time: t, last });
-                }
-                SamplePrior {
-                    existed: true,
-                    tied: t == last,
-                    prev_value: sig.values().last().copied().unwrap_or(0.0),
-                }
-            }
+            Some(sig) => SamplePrior {
+                existed: true,
+                tied: sig.last_time().unwrap_or(t) == t,
+                prev_value: sig.values().last().copied().unwrap_or(0.0),
+            },
             None => SamplePrior { existed: false, tied: false, prev_value: 0.0 },
         };
         // Capture *before* the push: whether the builder had seen any
         // event at all decides whether `start` is a fold or a seed.
         let had_events = !self.signals.is_empty() || !self.links.is_empty();
+        // The signal's own push checks time order, as in a load, and
+        // refuses before changing anything.
         self.signals.get_or_insert(container, metric).push(t, v)?;
         self.start = if had_events || !self.states.is_empty() { self.start.min(t) } else { t };
         self.end = self.end.max(t);
@@ -237,12 +181,17 @@ mod tests {
             .trace
     }
 
+    /// The span a load of `text` ends with, folded line by line.
+    fn span_of(text: &str) -> Option<(f64, f64)> {
+        text.lines().filter_map(declared_span).next_back()
+    }
+
     /// The contract `classify` exists for: every classification must
     /// match what a from-scratch lenient reload of base + line does.
     #[test]
     fn classify_matches_reload() {
         let base = load(BASE);
-        let span = span_after(BASE);
+        let span = span_of(BASE);
         let cases: Vec<(&str, LiveLine)> = vec![
             ("", LiveLine::Skip),
             ("# comment", LiveLine::Skip),
@@ -266,7 +215,13 @@ mod tests {
                 container: ContainerId::from_index(1),
                 metric: MetricId::from_index(0),
             }),
-            ("var,0.5,1,0,50.0", LiveLine::Drop), // before last breakpoint
+            // Before the last breakpoint: the push refuses it (below).
+            ("var,0.5,1,0,50.0", LiveLine::Sample {
+                container: ContainerId::from_index(1),
+                metric: MetricId::from_index(0),
+                t: 0.5,
+                v: 50.0,
+            }),
             ("var,11.0,1,0,50.0", LiveLine::Drop), // outside span
             ("var,2.0,9,0,50.0", LiveLine::Drop),  // unknown container
             ("var,2.0,1,7,50.0", LiveLine::Drop),  // unknown metric
@@ -284,6 +239,18 @@ mod tests {
         for (line, want) in cases {
             assert_eq!(classify(&base, span, line), want, "line {line:?}");
         }
+        // The out-of-order sample is refused without a state change,
+        // and booking it as a drop lands where a reload does.
+        let (c, m) = (ContainerId::from_index(1), MetricId::from_index(0));
+        let mut live = base.clone();
+        let before = live.signal(c, m).cloned();
+        let err = live.live_push_sample(c, m, 0.5, 50.0);
+        assert!(matches!(err, Err(TraceError::NonMonotonicTime { .. })), "{err:?}");
+        assert_eq!(live.signal(c, m).cloned(), before);
+        live.live_note_dropped();
+        let reloaded = load(&format!("{BASE}var,0.5,1,0,50.0\n"));
+        assert_eq!(live.ingest_dropped(), reloaded.ingest_dropped());
+        assert_eq!(live.ingest_dropped(), 1);
     }
 
     #[test]
@@ -291,7 +258,7 @@ mod tests {
         let mut live = load(BASE);
         let appended = "var,2.0,1,0,50.0\nvar,2.0,2,0,75.5\nvar,2.0,2,0,80.0\n";
         for raw in appended.lines() {
-            match classify(&live, span_after(BASE), raw) {
+            match classify(&live, span_of(BASE), raw) {
                 LiveLine::Sample { container, metric, t, v } => {
                     live.live_push_sample(container, metric, t, v).unwrap();
                 }
@@ -335,9 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn span_after_takes_last_valid() {
+    fn declared_span_fold_takes_last_valid() {
         let text = "span,0.0,10.0\nspan,bad,10\nspan,5.0,2.0\nspan,1.0,20.0\n# span,9,9\n";
-        assert_eq!(span_after(text), Some((1.0, 20.0)));
-        assert_eq!(span_after("var,1,1,0,2\n"), None);
+        assert_eq!(span_of(text), Some((1.0, 20.0)));
+        assert_eq!(span_of("var,1,1,0,2\n"), None);
     }
 }

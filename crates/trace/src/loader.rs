@@ -48,7 +48,7 @@ use std::io::{self, BufRead};
 use viva_obs::Recorder;
 
 use crate::builder::TraceBuilder;
-use crate::container::{ContainerId, ContainerKind};
+use crate::container::{ContainerId, ContainerKind, ContainerTree};
 use crate::error::TraceError;
 use crate::metric::MetricId;
 use crate::state::StateRecord;
@@ -468,10 +468,7 @@ impl Ingest {
                 LineRead::Line => lineno += 1,
             }
             let text = String::from_utf8_lossy(&buf);
-            let line = text.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
+            let Some(record) = record(&text) else { continue };
             // Load-wide budgets are checked before the record is
             // applied, so the reported line is the first one *not*
             // ingested.
@@ -491,7 +488,7 @@ impl Ingest {
                     }
                 }
             }
-            if let Err(fault) = self.apply_record(line) {
+            if let Err(fault) = record.and_then(|(kind, rest)| self.apply_record(kind, rest)) {
                 match (&fault, self.mode) {
                     (RecordFault::Bad(msg), RecoveryMode::Strict) => {
                         return Err(TraceError::Parse { line: lineno, message: msg.clone() });
@@ -571,51 +568,10 @@ impl Ingest {
         None
     }
 
-    /// Validates `t` against the declared span, if any. Records made
-    /// outside the declared observation period are inconsistent (a
-    /// truncated dump re-concatenated out of order, or forged data).
-    fn check_in_span(&self, t: f64, what: &str) -> Result<(), RecordFault> {
-        if let Some((s, e)) = self.span {
-            if t < s || t > e {
-                return Err(RecordFault::Bad(format!(
-                    "{what} timestamp {t:?} outside the declared span [{s:?}, {e:?}]"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    fn container(&self, s: &str) -> Result<ContainerId, RecordFault> {
-        let idx = parse_id(s)?;
-        let id = ContainerId::from_index(idx);
-        if self.builder.containers().get(id).is_none() {
-            return Err(RecordFault::Bad(format!("unknown container id {idx}")));
-        }
-        Ok(id)
-    }
-
-    fn metric(&self, s: &str) -> Result<MetricId, RecordFault> {
-        let idx = parse_id(s)?;
-        if idx >= self.builder.metric_count() {
-            return Err(RecordFault::Bad(format!("unknown metric id {idx}")));
-        }
-        Ok(MetricId::from_index(idx))
-    }
-
-    fn apply_record(&mut self, line: &str) -> Result<(), RecordFault> {
-        let (kind, rest) = line
-            .split_once(',')
-            .ok_or_else(|| RecordFault::Bad("missing record kind".to_owned()))?;
+    fn apply_record(&mut self, kind: RecordKind, rest: &str) -> Result<(), RecordFault> {
         match kind {
-            "span" => {
-                let [s, e] = fields::<2>(rest)?;
-                let (s, e) = (parse_finite(s, "span start")?, parse_finite(e, "span end")?);
-                if e < s {
-                    return Err(RecordFault::Bad(format!("span end {e:?} precedes start {s:?}")));
-                }
-                self.span = Some((s, e));
-            }
-            "container" => {
+            RecordKind::Span => self.span = Some(parse_span(rest)?),
+            RecordKind::Container => {
                 let [id, parent, ckind, name] = fields::<4>(rest)?;
                 let expect_idx = parse_id(id)?;
                 let expect = ContainerId::from_index(expect_idx);
@@ -636,7 +592,7 @@ impl Ingest {
                         "container id mismatch: file {expect}, next assignable {next}"
                     )));
                 }
-                let parent = self.container(parent)?;
+                let parent = container_id(self.builder.containers(), parent)?;
                 let ckind = ContainerKind::from_label(ckind)
                     .ok_or_else(|| RecordFault::Bad(format!("unknown container kind {ckind:?}")))?;
                 let got = self
@@ -647,7 +603,7 @@ impl Ingest {
                 self.containers_seen += 1;
                 self.mem_estimate += 64 + name.len();
             }
-            "metric" => {
+            RecordKind::Metric => {
                 let [id, unit, name] = fields::<3>(rest)?;
                 let expect_idx = parse_id(id)?;
                 let expect = MetricId::from_index(expect_idx);
@@ -670,29 +626,22 @@ impl Ingest {
                 debug_assert_eq!(got, expect);
                 self.mem_estimate += 48 + name.len() + unit.len();
             }
-            "var" => {
-                let [t, c, m, v] = fields::<4>(rest)?;
-                let t = parse_finite(t, "time")?;
-                let c = self.container(c)?;
-                let m = self.metric(m)?;
-                self.check_in_span(t, "var")?;
-                let v = parse_f64(v)?;
-                if !v.is_finite() {
-                    return Err(RecordFault::NonFinite {
-                        container: c,
-                        metric: m,
-                        message: format!("non-finite sample {v:?} quarantined"),
-                    });
-                }
+            RecordKind::Var => {
+                let (c, m, t, v) = parse_var(
+                    rest,
+                    self.builder.containers(),
+                    self.builder.metric_count(),
+                    self.span,
+                )?;
                 self.builder
                     .set_variable(t, c, m, v)
                     .map_err(|e| RecordFault::Bad(e.to_string()))?;
                 self.events += 1;
                 self.mem_estimate += 24;
             }
-            "state" => {
+            RecordKind::State => {
                 let [c, s, e, d, name] = fields::<5>(rest)?;
-                let container = self.container(c)?;
+                let container = container_id(self.builder.containers(), c)?;
                 let (start, end) =
                     (parse_finite(s, "state start")?, parse_finite(e, "state end")?);
                 if end < start {
@@ -700,8 +649,8 @@ impl Ingest {
                         "state end {end:?} precedes start {start:?}"
                     )));
                 }
-                self.check_in_span(start, "state")?;
-                self.check_in_span(end, "state")?;
+                check_in_span(self.span, start, "state")?;
+                check_in_span(self.span, end, "state")?;
                 self.states.push(StateRecord {
                     container,
                     start,
@@ -712,35 +661,136 @@ impl Ingest {
                 self.events += 1;
                 self.mem_estimate += 48 + name.len();
             }
-            "link" => {
+            RecordKind::Link => {
                 let [s, e, from, to, size] = fields::<5>(rest)?;
                 let (start, end) =
                     (parse_finite(s, "link start")?, parse_finite(e, "link end")?);
-                let (from, to) = (self.container(from)?, self.container(to)?);
-                self.check_in_span(start, "link")?;
-                self.check_in_span(end, "link")?;
+                let tree = self.builder.containers();
+                let (from, to) = (container_id(tree, from)?, container_id(tree, to)?);
+                check_in_span(self.span, start, "link")?;
+                check_in_span(self.span, end, "link")?;
                 self.builder
                     .link(start, end, from, to, parse_finite(size, "link size")?)
                     .map_err(|e| RecordFault::Bad(e.to_string()))?;
                 self.events += 1;
                 self.mem_estimate += 40;
             }
-            other => {
-                return Err(RecordFault::Bad(format!("unknown record kind {other:?}")));
-            }
         }
         Ok(())
     }
 }
 
-pub(crate) fn parse_f64(s: &str) -> Result<f64, RecordFault> {
+/// The kinds of record a trace holds. Every kind but `var` is
+/// structural: it declares the span, the container tree or the metric
+/// set, or adds a state or link interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RecordKind {
+    Span,
+    Container,
+    Metric,
+    Var,
+    State,
+    Link,
+}
+
+/// Splits a line into its record kind and comma-separated fields, or
+/// `None` for a blank or comment line, which a load skips uncounted.
+pub(crate) fn record(raw: &str) -> Option<Result<(RecordKind, &str), RecordFault>> {
+    let line = raw.trim_end();
+    if line.is_empty() || line.starts_with('#') {
+        return None;
+    }
+    let Some((kind, rest)) = line.split_once(',') else {
+        return Some(Err(RecordFault::Bad("missing record kind".to_owned())));
+    };
+    let kind = match kind {
+        "span" => RecordKind::Span,
+        "container" => RecordKind::Container,
+        "metric" => RecordKind::Metric,
+        "var" => RecordKind::Var,
+        "state" => RecordKind::State,
+        "link" => RecordKind::Link,
+        other => return Some(Err(RecordFault::Bad(format!("unknown record kind {other:?}")))),
+    };
+    Some(Ok((kind, rest)))
+}
+
+/// Parses the fields of a `span` record: finite bounds, the end not
+/// before the start.
+pub(crate) fn parse_span(rest: &str) -> Result<(f64, f64), RecordFault> {
+    let [s, e] = fields::<2>(rest)?;
+    let (s, e) = (parse_finite(s, "span start")?, parse_finite(e, "span end")?);
+    if e < s {
+        return Err(RecordFault::Bad(format!("span end {e:?} precedes start {s:?}")));
+    }
+    Ok((s, e))
+}
+
+/// Parses a `var` record and checks it, in order, against the declared
+/// containers, metric count and span. A non-finite value on an
+/// otherwise valid record is [`RecordFault::NonFinite`]. Time order is
+/// left to the signal push.
+pub(crate) fn parse_var(
+    rest: &str,
+    tree: &ContainerTree,
+    metric_count: usize,
+    span: Option<(f64, f64)>,
+) -> Result<(ContainerId, MetricId, f64, f64), RecordFault> {
+    let [t, c, m, v] = fields::<4>(rest)?;
+    let t = parse_finite(t, "time")?;
+    let c = container_id(tree, c)?;
+    let m = metric_id(metric_count, m)?;
+    check_in_span(span, t, "var")?;
+    let v = parse_f64(v)?;
+    if !v.is_finite() {
+        return Err(RecordFault::NonFinite {
+            container: c,
+            metric: m,
+            message: format!("non-finite sample {v:?} quarantined"),
+        });
+    }
+    Ok((c, m, t, v))
+}
+
+/// Validates `t` against the declared span, if any. Records made
+/// outside the declared observation period are inconsistent (a
+/// truncated dump re-concatenated out of order, or forged data).
+fn check_in_span(span: Option<(f64, f64)>, t: f64, what: &str) -> Result<(), RecordFault> {
+    if let Some((s, e)) = span {
+        if t < s || t > e {
+            return Err(RecordFault::Bad(format!(
+                "{what} timestamp {t:?} outside the declared span [{s:?}, {e:?}]"
+            )));
+        }
+    }
+    Ok(())
+}
+
+fn container_id(tree: &ContainerTree, s: &str) -> Result<ContainerId, RecordFault> {
+    let idx = parse_id(s)?;
+    let id = ContainerId::from_index(idx);
+    if tree.get(id).is_none() {
+        return Err(RecordFault::Bad(format!("unknown container id {idx}")));
+    }
+    Ok(id)
+}
+
+fn metric_id(metric_count: usize, s: &str) -> Result<MetricId, RecordFault> {
+    let idx = parse_id(s)?;
+    if idx >= metric_count {
+        return Err(RecordFault::Bad(format!("unknown metric id {idx}")));
+    }
+    Ok(MetricId::from_index(idx))
+}
+
+fn parse_f64(s: &str) -> Result<f64, RecordFault> {
     s.parse::<f64>()
         .map_err(|e| RecordFault::Bad(format!("bad float {s:?}: {e}")))
 }
 
 /// Parses a float that must be finite (timestamps, sizes, spans —
 /// everything except metric samples, which quarantine instead).
-pub(crate) fn parse_finite(s: &str, what: &str) -> Result<f64, RecordFault> {
+fn parse_finite(s: &str, what: &str) -> Result<f64, RecordFault> {
     let v = parse_f64(s)?;
     if !v.is_finite() {
         return Err(RecordFault::Bad(format!("non-finite {what} {v:?}")));
@@ -756,7 +806,7 @@ fn parse_usize(s: &str) -> Result<usize, RecordFault> {
 /// Parses a container/metric id. Ids are dense `u32` indices; anything
 /// larger would silently truncate in `from_index` and alias a valid id,
 /// so reject it here.
-pub(crate) fn parse_id(s: &str) -> Result<usize, RecordFault> {
+fn parse_id(s: &str) -> Result<usize, RecordFault> {
     let idx = parse_usize(s)?;
     if idx > u32::MAX as usize {
         return Err(RecordFault::Bad(format!("id {idx} out of range")));
@@ -764,7 +814,7 @@ pub(crate) fn parse_id(s: &str) -> Result<usize, RecordFault> {
     Ok(idx)
 }
 
-pub(crate) fn fields<const N: usize>(rest: &str) -> Result<[&str; N], RecordFault> {
+fn fields<const N: usize>(rest: &str) -> Result<[&str; N], RecordFault> {
     let mut it = rest.splitn(N, ',');
     let mut out = [""; N];
     for slot in out.iter_mut() {

@@ -75,8 +75,7 @@ fn thousand_attached_sessions_share_one_trace_allocation() {
         "every attach shares the stored allocation"
     );
     // The shared index is held by the store and every session alike.
-    let index = stored.index.as_ref().expect("shared index");
-    assert_eq!(Arc::strong_count(index), 1 + 1 + SESSIONS);
+    assert_eq!(Arc::strong_count(&stored.index), 1 + 1 + SESSIONS);
 
     // The store's listing agrees with the Arc accounting.
     let listing = server.store().list();
